@@ -531,20 +531,16 @@ mod tests {
 
     #[test]
     fn rejected_rows_are_counted() {
-        let before = ndt_obs::counters_snapshot();
-        let mut t = Table::new("t", &[("a", ColType::Int)]);
-        assert!(t.try_push(vec![Value::from("nope")]).is_err());
-        assert!(t.try_push(vec![Value::Int(1), Value::Int(2)]).is_err());
-        assert!(t.is_empty());
-        t.check();
-        let delta = ndt_obs::delta_since(&before);
-        // >= because the counter registry is process-global and other
-        // tests may reject rows concurrently.
-        assert!(
-            delta.counters.get("bq.rows_rejected").copied().unwrap_or(0) >= 2,
-            "rejections must be observable: {:?}",
-            delta.counters
-        );
+        // Captured on this thread, so rows other tests reject
+        // concurrently cannot leak into the count.
+        let ((), tally) = ndt_obs::capture(|| {
+            let mut t = Table::new("t", &[("a", ColType::Int)]);
+            assert!(t.try_push(vec![Value::from("nope")]).is_err());
+            assert!(t.try_push(vec![Value::Int(1), Value::Int(2)]).is_err());
+            assert!(t.is_empty());
+            t.check();
+        });
+        assert_eq!(tally.counter("bq.rows_rejected"), 2, "rejections are counted: {tally:?}");
     }
 
     #[test]

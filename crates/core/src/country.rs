@@ -4,9 +4,10 @@
 //! separate national corpus generated under its own scenario, seed salt
 //! and scale. The full corpus of country B is never carried around — it is
 //! folded into a compact per-period [`CountryDigest`] (test counts and
-//! metric means per study period), which the pipeline checkpoints, the
-//! columnar store persists (`country-b.digest.txt`), and the `table_ab`
-//! analysis stage renders as a side-by-side degradation table.
+//! metric means per study period), which the columnar store — a
+//! checkpoint directory included — persists (`country-b.digest.txt`), and
+//! the `table_ab` analysis stage renders as a side-by-side degradation
+//! table.
 //!
 //! The digest's text form round-trips `f64`s through their bit patterns,
 //! so a digest written by `generate --format columnar` and re-read by

@@ -74,14 +74,12 @@ pub fn full_report(data: &StudyData) -> Result<ReproReport, AnalysisError> {
     })
 }
 
-/// Static description of one analysis stage: its checkpoint name, report
-/// section title and exported artifact files. Names are part of the
-/// crash-safe runner's resume contract — renaming one invalidates old
-/// checkpoints of that stage (by design: the config fingerprint also
-/// carries a stage-graph version).
+/// Static description of one analysis stage: its name, report section
+/// title and exported artifact files. Names are what the crash-safe
+/// runner's stage records, spans and test hooks key on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSpec {
-    /// Stable stage name (checkpoint key).
+    /// Stable stage name.
     pub name: &'static str,
     /// Report section title, exactly as [`ReproReport::render`] prints it.
     pub title: &'static str,
@@ -212,9 +210,9 @@ pub fn stage_spec(name: &str) -> Option<&'static StageSpec> {
 }
 
 /// One analysis stage's run result: the report section body, the exported
-/// artifacts, and the stage's own degradation accounting. This is what the
-/// crash-safe runner checkpoints — everything downstream (report text,
-/// exported files, merged coverage) derives from it.
+/// artifacts, and the stage's own degradation accounting. Everything the
+/// crash-safe runner produces downstream (report text, exported files,
+/// merged coverage) derives from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageOutput {
     /// The [`StageSpec::name`] this output belongs to.
@@ -309,8 +307,7 @@ fn publish_coverage_counters(coverage: &Coverage) {
 
 /// Runs a single analysis stage by [`StageSpec::name`]. Each stage is an
 /// independent compute over the corpus — the crash-safe runner executes
-/// them one at a time under panic isolation and checkpoints each
-/// [`StageOutput`].
+/// them one at a time under panic isolation.
 ///
 /// Each run is timed under an `analysis.<name>` span, and its coverage is
 /// published as `analysis.*` counters (rows seen, drops by reason,

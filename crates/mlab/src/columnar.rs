@@ -29,16 +29,16 @@
 //!   ingests these with [`push_unified_batch`] and never holds more than
 //!   a bounded window of decoded groups.
 //!
-//! Writes feed the `store.*` counters directly. Scans *return* their
-//! [`ndt_store::ScanStats`] and leave publishing to the caller via
-//! [`publish_scan_stats`] — exactly once per successful scan, in a
-//! deterministic order — so the materialized and vectorized engines
-//! report identical counter values and a failed (quarantined) shard
+//! Writes and scans *return* their [`WriteStats`] /
+//! [`ndt_store::ScanStats`] and leave publishing to the caller — exactly
+//! once per committed shard ([`write_stats_tally`]) or successful scan
+//! ([`publish_scan_stats`]), in a deterministic order — so a retried
+//! write counts once, the materialized and vectorized engines report
+//! identical counter values, and a failed (quarantined) shard
 //! contributes nothing. Byte and row counts are pure functions of the
 //! corpus, so they fall under the counter determinism contract;
 //! wall-clock timing stays in span land.
 
-use crate::codec::{oblast_from_index, oblast_index};
 use crate::schema::{Scamper1Row, UnifiedDownloadRow};
 use ndt_geo::{CityId, Oblast};
 use ndt_store::wire::CodecError;
@@ -54,6 +54,17 @@ pub const OBLAST_NONE: u32 = 0xFF;
 /// Sentinel in the `city` column for rows without a city label (city ids
 /// are `u16`, so the first value outside that range is free).
 pub const CITY_NONE: u32 = 0x1_0000;
+
+/// `Oblast → u8` index in the stable Table 4 order ([`Oblast::all`]).
+fn oblast_index(o: Oblast) -> u8 {
+    Oblast::all().position(|x| x == o).unwrap_or(0) as u8
+}
+
+fn oblast_from_index(i: u8) -> Result<Oblast, CodecError> {
+    Oblast::all()
+        .nth(i as usize)
+        .ok_or(CodecError::InvalidValue { what: "oblast index", value: i as u64 })
+}
 
 /// Schema of the `unified` table's shards.
 pub fn unified_schema() -> Result<Schema, StoreError> {
@@ -98,12 +109,15 @@ pub fn traces_schema() -> Result<Schema, StoreError> {
     )
 }
 
-fn record_write_stats(stats: &WriteStats) {
-    ndt_obs::incr("store.rows_written", stats.rows);
-    ndt_obs::incr("store.groups_written", stats.groups);
-    ndt_obs::incr("store.bytes_file", stats.bytes_file);
-    ndt_obs::incr("store.bytes_encoded", stats.bytes_encoded);
-    ndt_obs::incr("store.bytes_raw", stats.bytes_raw);
+/// The `store.*` write counters of one committed shard.
+pub fn write_stats_tally(stats: &WriteStats) -> ndt_obs::Tally {
+    let mut t = ndt_obs::Tally::default();
+    t.incr("store.rows_written", stats.rows);
+    t.incr("store.groups_written", stats.groups);
+    t.incr("store.bytes_file", stats.bytes_file);
+    t.incr("store.bytes_encoded", stats.bytes_encoded);
+    t.incr("store.bytes_raw", stats.bytes_raw);
+    t
 }
 
 /// Publishes one scan's counters into `ndt-obs`. Callers invoke this
@@ -157,9 +171,7 @@ pub fn write_unified<W: Write>(out: W, rows: &[UnifiedDownloadRow]) -> Result<(W
             ColumnData::F64(loss),
         ])?;
     }
-    let (out, stats) = w.finish()?;
-    record_write_stats(&stats);
-    Ok((out, stats))
+    w.finish()
 }
 
 /// Writes trace rows as one shard in [`DEFAULT_GROUP_ROWS`]-row groups.
@@ -222,9 +234,7 @@ pub fn write_traces<W: Write>(out: W, rows: &[Scamper1Row]) -> Result<(W, WriteS
             ColumnData::F64(loss),
         ])?;
     }
-    let (out, stats) = w.finish()?;
-    record_write_stats(&stats);
-    Ok((out, stats))
+    w.finish()
 }
 
 /// Chunks rows into write groups; an empty slice still yields no chunks
@@ -751,6 +761,15 @@ pub fn push_unified_batch(t: &mut ndt_bq::Table, b: &UnifiedBatch) -> Result<(),
 mod tests {
     use super::*;
     use crate::sim::{SimConfig, Simulator};
+
+    #[test]
+    fn oblast_indices_are_stable_and_total() {
+        for (i, o) in ndt_geo::Oblast::all().enumerate() {
+            assert_eq!(oblast_index(o), i as u8);
+            assert_eq!(oblast_from_index(i as u8), Ok(o));
+        }
+        assert!(oblast_from_index(200).is_err());
+    }
 
     fn sample() -> crate::schema::Dataset {
         static DS: std::sync::OnceLock<crate::schema::Dataset> = std::sync::OnceLock::new();

@@ -34,7 +34,6 @@
 //! a reduced [`SimConfig::scale`].
 
 pub mod client;
-pub mod codec;
 pub mod columnar;
 pub mod fault;
 pub mod schema;
@@ -42,7 +41,6 @@ pub mod sim;
 pub mod site;
 
 pub use client::{Client, ClientPool};
-pub use codec::CodecError;
 pub use fault::{Corruption, FaultPlan};
 pub use schema::{Dataset, Scamper1Row, UnifiedDownloadRow};
 pub use sim::{Scenario, SimConfig, SimCounters, Simulator};

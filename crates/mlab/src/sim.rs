@@ -107,7 +107,7 @@ impl SimConfig {
     /// rows: each simulated day derives its RNG streams and damage state
     /// from the day index alone, so concatenating the shards in order
     /// reproduces an unsharded run bit-for-bit. This is the unit of corpus
-    /// checkpointing — a killed run resumes at the first missing shard.
+    /// checkpointing — a resumed run simulates only the shards it lacks.
     pub fn shards(&self, days_per_shard: i64) -> Vec<std::ops::Range<i64>> {
         let step = days_per_shard.max(1);
         let mut shards = Vec::new();
@@ -217,6 +217,12 @@ struct Migration {
 
 /// The platform simulator. Owns the topology, client population, routing
 /// engine and error-model databases.
+///
+/// A clone is a second simulator in the state [`Simulator::new`] left the
+/// original in, without rebuilding the topology or the client pool — how
+/// the runner's shard pool gives each worker its own simulator from one
+/// build.
+#[derive(Clone)]
 pub struct Simulator {
     config: SimConfig,
     /// The resolved scenario spec (`config.scenario.spec()`, cached).
@@ -568,7 +574,7 @@ impl Simulator {
         let chunk = n_clients.div_ceil(threads);
         let this: &Simulator = self;
         let mut buffers: Vec<(Dataset, SimCounters)> = Vec::new();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (t, engine) in engines.iter_mut().enumerate() {
                 let lo = t * chunk;
@@ -576,7 +582,7 @@ impl Simulator {
                 if lo >= hi {
                     continue;
                 }
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let mut out = Dataset::default();
                     let mut counters = SimCounters::default();
                     for ci in lo..hi {
@@ -588,8 +594,7 @@ impl Simulator {
             for h in handles {
                 buffers.push(h.join().expect("worker panicked"));
             }
-        })
-        .expect("scope panicked");
+        });
         let mut totals = SimCounters::default();
         for (mut b, c) in buffers {
             ds.ndt.append(&mut b.ndt);

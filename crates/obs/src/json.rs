@@ -198,7 +198,7 @@ mod tests {
         let mut gauges = BTreeMap::new();
         gauges.insert("topology.links".to_string(), 7u64);
         let mut process = BTreeMap::new();
-        process.insert("checkpoint.hits".to_string(), 2u64);
+        process.insert("exec.attempts".to_string(), 2u64);
         let mut spans = BTreeMap::new();
         spans.insert(
             "stage.corpus".to_string(),

@@ -10,15 +10,16 @@
 //!   hot paths count into plain-integer structs and merge once per stage
 //!   (see `ndt-mlab`'s per-worker counters), so the cost is a handful of
 //!   map updates per pipeline stage. Counter sums are commutative, which
-//!   makes them **bit-identical across thread counts**; the runner
-//!   checkpoints per-stage counter deltas ([`counters_snapshot`] /
-//!   [`delta_since`] / [`apply_delta`]), which makes them bit-identical
-//!   across a kill→resume and a clean run too.
+//!   makes them **bit-identical across thread counts**. A unit of work
+//!   run under [`capture`] hands its counters back as a [`Tally`] instead
+//!   of publishing them; the runner publishes a tally only for committed
+//!   results and persists it with every saved unit, which makes counters
+//!   bit-identical across a kill→resume and a clean run too.
 //! * **Process counters** ([`incr_process`]) — run-shape bookkeeping
-//!   (checkpoint hits/misses, retry attempts, panics contained, abandoned
-//!   late completions). Deliberately separate from the work counters:
-//!   a resumed run legitimately has different checkpoint traffic than a
-//!   clean one, so these sit outside the determinism contract.
+//!   (shards resumed, retry attempts, panics contained, abandoned late
+//!   completions). Deliberately separate from the work counters: a
+//!   resumed run legitimately does different work than a clean one, so
+//!   these sit outside the determinism contract.
 //! * **Spans** ([`span`]) — RAII wall-clock scopes on a monotonic clock,
 //!   aggregated by hierarchical name (nested spans on one thread join
 //!   with `/`). Only recorded when metrics are enabled; durations are the
@@ -45,9 +46,8 @@ mod span;
 pub use event::{log, set_verbosity, verbosity, Level};
 pub use json::{extract_bench, zero_wall_times};
 pub use registry::{
-    apply_delta, counters_snapshot, delta_since, global, incr, incr_process, process_counter,
-    render_json, reset, set_gauge, set_process, set_process_max, CounterSnapshot, ObsDelta,
-    Registry, SpanStat,
+    capture, global, incr, incr_process, process_counter, render_json, reset, set_gauge,
+    set_process, set_process_max, Registry, SpanStat, Tally,
 };
 pub use span::{span, Span};
 
@@ -57,7 +57,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns full metrics recording (spans + event buffering) on or off.
 /// Counters and gauges are recorded regardless — they are cheap and the
-/// resume determinism contract needs them in every run's checkpoints.
+/// resume determinism contract needs them in every saved unit.
 pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }

@@ -11,6 +11,7 @@
 //! holding the registry lock, and observability must never turn a contained
 //! panic into a poisoned-lock abort.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -71,31 +72,94 @@ pub struct Registry {
     inner: Mutex<Inner>,
 }
 
-/// A point-in-time copy of the deterministic sections (counters + gauges),
-/// used to compute per-stage [`ObsDelta`]s for checkpointing.
+/// The deterministic counter increments and gauge values one unit of
+/// work published — a corpus shard, the second-country digest, an
+/// analysis stage. [`capture`] collects one; [`Tally::publish`] adds it
+/// to the global registry. The runner publishes a unit's tally only once
+/// the unit's value is committed, and persists it beside every saved
+/// unit, so a resumed unit re-publishes exactly what a computed one did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-}
-
-/// What one pipeline stage added to the deterministic sections: counter
-/// *increments* and gauge *final values*. The runner persists this beside
-/// each stage checkpoint and re-applies it on resume, so a resumed run's
-/// counters match a clean run's bit for bit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ObsDelta {
-    /// Counter increments attributable to the stage.
+pub struct Tally {
+    /// Counter increments.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges the stage set, at their end-of-stage values.
+    /// Gauges set, at their final values.
     pub gauges: BTreeMap<String, u64>,
 }
 
-impl ObsDelta {
-    /// True when the delta carries nothing.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty()
+impl Tally {
+    /// Adds `n` to a counter (zero increments record nothing, as in the
+    /// registry).
+    pub fn incr(&mut self, name: &str, n: u64) {
+        if n > 0 {
+            let c = self.counters.entry(name.to_string()).or_default();
+            *c = c.saturating_add(n);
+        }
     }
+
+    /// Sets a gauge.
+    pub fn set_gauge(&mut self, name: &str, value: u64) {
+        self.gauges.insert(name.to_string(), value);
+    }
+
+    /// A counter's value (0 when never incremented).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Folds `other` in: counters add, gauges overwrite.
+    pub fn merge(&mut self, other: &Tally) {
+        for (name, &n) in &other.counters {
+            self.incr(name, n);
+        }
+        for (name, &v) in &other.gauges {
+            self.set_gauge(name, v);
+        }
+    }
+
+    /// Publishes the tally through [`incr`] and [`set_gauge`] — into the
+    /// global registry, or into an enclosing [`capture`] on this thread.
+    pub fn publish(&self) {
+        for (name, &n) in &self.counters {
+            incr(name, n);
+        }
+        for (name, &v) in &self.gauges {
+            set_gauge(name, v);
+        }
+    }
+}
+
+thread_local! {
+    /// Open [`capture`] scopes on this thread, innermost last.
+    static CAPTURES: RefCell<Vec<Tally>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` and returns what it published alongside its value: while `f`
+/// runs, [`incr`] and [`set_gauge`] calls *on this thread* land in a
+/// private [`Tally`] instead of the global registry. Capture is
+/// thread-local, so concurrent workers each collect exactly their own
+/// unit's counters, and a body that panics, is retried or is abandoned
+/// publishes nothing — its caller decides whether the tally counts.
+/// Spans, events and process counters are not captured.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    /// Pops this scope's frame even when `f` unwinds.
+    struct Frame;
+    impl Drop for Frame {
+        fn drop(&mut self) {
+            CAPTURES.with(|c| c.borrow_mut().pop());
+        }
+    }
+    CAPTURES.with(|c| c.borrow_mut().push(Tally::default()));
+    let frame = Frame;
+    let value = f();
+    let tally = CAPTURES.with(|c| c.borrow_mut().last_mut().map(std::mem::take));
+    drop(frame);
+    (value, tally.unwrap_or_default())
+}
+
+/// Applies `f` to the innermost open capture on this thread; false when
+/// none is open.
+fn with_capture(f: impl FnOnce(&mut Tally)) -> bool {
+    CAPTURES.with(|c| c.borrow_mut().last_mut().map(f).is_some())
 }
 
 impl Registry {
@@ -187,46 +251,6 @@ impl Registry {
         }
     }
 
-    /// Copies the deterministic sections for later [`Registry::delta_since`].
-    pub fn counters_snapshot(&self) -> CounterSnapshot {
-        let g = self.lock();
-        CounterSnapshot { counters: g.counters.clone(), gauges: g.gauges.clone() }
-    }
-
-    /// Counter increments and gauge values recorded since `snap`.
-    pub fn delta_since(&self, snap: &CounterSnapshot) -> ObsDelta {
-        let g = self.lock();
-        let mut delta = ObsDelta::default();
-        for (name, &now) in &g.counters {
-            let before = snap.counters.get(name).copied().unwrap_or(0);
-            if now > before {
-                delta.counters.insert(name.clone(), now - before);
-            }
-        }
-        for (name, &now) in &g.gauges {
-            if snap.gauges.get(name) != Some(&now) {
-                delta.gauges.insert(name.clone(), now);
-            }
-        }
-        delta
-    }
-
-    /// Re-applies a checkpointed stage delta (counters add, gauges set).
-    pub fn apply_delta(&self, delta: &ObsDelta) {
-        let mut g = self.lock();
-        for (name, &n) in &delta.counters {
-            match g.counters.get_mut(name) {
-                Some(c) => *c = c.saturating_add(n),
-                None => {
-                    g.counters.insert(name.clone(), n);
-                }
-            }
-        }
-        for (name, &v) in &delta.gauges {
-            g.gauges.insert(name.clone(), v);
-        }
-    }
-
     /// Current value of a work counter (0 when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.lock().counters.get(name).copied().unwrap_or(0)
@@ -298,9 +322,12 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Adds `n` to a named work counter on the global registry.
+/// Adds `n` to a named work counter on the global registry (or on the
+/// innermost [`capture`] open on this thread).
 pub fn incr(name: &str, n: u64) {
-    global().incr(name, n);
+    if !with_capture(|t| t.incr(name, n)) {
+        global().incr(name, n);
+    }
 }
 
 /// Adds `n` to a named process counter on the global registry.
@@ -308,9 +335,12 @@ pub fn incr_process(name: &str, n: u64) {
     global().incr_process(name, n);
 }
 
-/// Sets a named gauge on the global registry.
+/// Sets a named gauge on the global registry (or on the innermost
+/// [`capture`] open on this thread).
 pub fn set_gauge(name: &str, value: u64) {
-    global().set_gauge(name, value);
+    if !with_capture(|t| t.set_gauge(name, value)) {
+        global().set_gauge(name, value);
+    }
 }
 
 /// Sets a point-in-time value in the global registry's `process` section
@@ -328,21 +358,6 @@ pub fn set_process_max(name: &str, value: u64) {
 /// Current value of a named process counter/gauge on the global registry.
 pub fn process_counter(name: &str) -> u64 {
     global().process_counter(name)
-}
-
-/// Snapshot of the global registry's deterministic sections.
-pub fn counters_snapshot() -> CounterSnapshot {
-    global().counters_snapshot()
-}
-
-/// Delta of the global registry since `snap`.
-pub fn delta_since(snap: &CounterSnapshot) -> ObsDelta {
-    global().delta_since(snap)
-}
-
-/// Re-applies a checkpointed delta to the global registry.
-pub fn apply_delta(delta: &ObsDelta) {
-    global().apply_delta(delta);
 }
 
 /// Renders the global registry's artifact JSON.
@@ -380,39 +395,54 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrip_reproduces_a_clean_registry() {
-        // Simulate a stage running (clean) vs. its delta being re-applied
-        // on resume: final counters must match exactly.
-        let clean = Registry::new();
-        clean.incr("pre", 10);
-        let snap = clean.counters_snapshot();
-        clean.incr("pre", 5);
-        clean.incr("stage.work", 42);
-        clean.set_gauge("model.size", 99);
-        let delta = clean.delta_since(&snap);
-        assert_eq!(delta.counters.get("pre"), Some(&5));
-        assert_eq!(delta.counters.get("stage.work"), Some(&42));
-        assert_eq!(delta.gauges.get("model.size"), Some(&99));
-
-        let resumed = Registry::new();
-        resumed.incr("pre", 10);
-        resumed.apply_delta(&delta);
-        assert_eq!(resumed.counter("pre"), 15);
-        assert_eq!(resumed.counter("stage.work"), 42);
-        assert_eq!(resumed.gauge("model.size"), Some(99));
+    fn capture_collects_this_threads_counters_instead_of_publishing_them() {
+        let ((), outer) = capture(|| {
+            incr("capture.test.a", 2);
+            set_gauge("capture.test.g", 5);
+            let ((), inner) = capture(|| incr("capture.test.a", 40));
+            assert_eq!(inner.counter("capture.test.a"), 40);
+            // Publishing an inner tally lands in the enclosing capture.
+            inner.publish();
+            std::thread::spawn(|| incr("capture.test.other_thread", 1))
+                .join()
+                .expect("thread runs");
+        });
+        assert_eq!(outer.counter("capture.test.a"), 42);
+        assert_eq!(outer.gauges.get("capture.test.g"), Some(&5));
+        assert_eq!(global().counter("capture.test.a"), 0, "captured, not published");
+        assert_eq!(global().counter("capture.test.other_thread"), 1, "other threads unaffected");
+        outer.publish();
+        assert_eq!(global().counter("capture.test.a"), 42);
+        assert_eq!(global().gauge("capture.test.g"), Some(5));
     }
 
     #[test]
-    fn unchanged_gauges_stay_out_of_the_delta() {
-        let r = Registry::new();
-        r.set_gauge("g", 5);
-        let snap = r.counters_snapshot();
-        r.set_gauge("g", 5); // same value: not a change
-        r.set_gauge("h", 6);
-        let delta = r.delta_since(&snap);
-        assert!(!delta.counters.contains_key("g"));
-        assert_eq!(delta.gauges.get("g"), None);
-        assert_eq!(delta.gauges.get("h"), Some(&6));
+    fn a_panicking_capture_publishes_nothing_and_closes_its_scope() {
+        let caught = std::panic::catch_unwind(|| {
+            capture(|| {
+                incr("capture.test.panicked", 1);
+                panic!("body fails");
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(global().counter("capture.test.panicked"), 0);
+        incr("capture.test.after_panic", 1);
+        assert_eq!(global().counter("capture.test.after_panic"), 1, "no frame left open");
+    }
+
+    #[test]
+    fn tallies_merge_counters_additively_and_gauges_by_overwrite() {
+        let mut a = Tally::default();
+        a.incr("x", 1);
+        a.incr("zero", 0);
+        a.set_gauge("g", 1);
+        let mut b = Tally::default();
+        b.incr("x", 2);
+        b.set_gauge("g", 9);
+        a.merge(&b);
+        assert_eq!(a.counter("x"), 3);
+        assert!(!a.counters.contains_key("zero"));
+        assert_eq!(a.gauges.get("g"), Some(&9));
     }
 
     #[test]

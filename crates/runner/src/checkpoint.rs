@@ -1,44 +1,41 @@
-//! Stage checkpoints: persisted stage outputs keyed by a config fingerprint.
+//! Checkpoints: the store is the checkpoint.
 //!
-//! Completed stages serialize to `<out>/.ukraine-ndt/` so an interrupted
-//! run can resume where it stopped. Two keys guard correctness:
+//! With checkpoints on, the pipeline saves every corpus shard as an
+//! `ndt-store` shard pair under `<out>/.ukraine-ndt/` (the same files
+//! `generate --format columnar` writes), plus the second country's digest
+//! for two-country scenarios, and seals the directory with a `STORE.txt`
+//! manifest — so a checkpoint directory is a store `report --from-store`
+//! can read. Analysis stages and the topology are recomputed, never
+//! checkpointed: together they cost a few seconds at `--scale 1`, less
+//! than verifying saved copies would be worth.
 //!
-//! * a **config fingerprint** — a hash of every knob that influences stage
-//!   output (seed, scale, scenario, fault plan, crate version, stage-graph
-//!   version). A manifest whose fingerprint differs from the current run's
-//!   is ignored wholesale, so changing *any* knob recomputes everything.
-//!   `threads` is deliberately excluded: generation is bit-identical for
-//!   every thread count, so a checkpoint from a 16-thread run is valid for
-//!   a 1-thread resume.
-//! * a **content checksum** per stage — FNV-1a over the serialized payload,
-//!   stored both in the checkpoint file and in the manifest. A truncated,
-//!   corrupted, or stale file fails verification and the stage is simply
+//! Two things make a saved unit trustworthy on `--resume`:
+//!
+//! * a **config fingerprint** — a hash of every knob that influences the
+//!   corpus (seed, scale, scenario, fault plan, crate version, stage-graph
+//!   version) — is part of every shard's file name, so a changed knob
+//!   simply finds no shards to resume. `threads` is deliberately
+//!   excluded: generation is bit-identical for every thread count.
+//! * a **counters sidecar** (`<unit>.counters.txt`) records the
+//!   deterministic counters and gauges the unit published when it was
+//!   computed, and a key binding it to the unit's data, under an FNV-1a
+//!   checksum. A shard's key is the config fingerprint; the `country-b`
+//!   digest, whose file name is fixed, is keyed by the fingerprint and
+//!   the digest text (`content_key`), so a digest another config wrote
+//!   is never resumed. A resumed unit re-publishes its counters, so the
+//!   `--metrics` counters of a kill→resume run are bit-identical to a
+//!   clean run's. A unit whose sidecar or data fails to validate is
 //!   recomputed; resume never trusts bytes it cannot verify.
-//!
-//! All writes go through [`crate::atomic`], so a crash mid-checkpoint
-//! leaves the previous (or no) checkpoint, never a torn one.
-//!
-//! Besides the stage's value, each checkpoint carries the stage's
-//! **observability delta** ([`ndt_obs::ObsDelta`]): the counter
-//! increments and gauge values the stage recorded while it ran. On
-//! resume the pipeline re-applies the delta, so the `--metrics`
-//! artifact's counters after a kill→resume are bit-identical to a clean
-//! run's — a resumed stage "replays" its bookkeeping without redoing its
-//! work.
 
-use std::collections::BTreeMap;
-use std::io::{self, Write as _};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use ndt_analysis::{stage_spec, StageOutput};
-use ndt_store::wire;
-use ndt_obs::ObsDelta;
-use ndt_mlab::schema::Dataset;
 use ndt_mlab::sim::SimConfig;
+use ndt_obs::Tally;
+use ndt_store::wire;
 use ndt_tcp::CongestionControl;
 use ndt_vfs::VfsHandle;
 
-use crate::atomic::{sweep_orphan_temps, AtomicFile};
 use crate::retry::{retry_io, RetryPolicy};
 
 /// Checkpoint directory name, created under the run's output directory.
@@ -48,12 +45,8 @@ pub const CHECKPOINT_DIR: &str = ".ukraine-ndt";
 /// all prior checkpoints.
 const STAGE_GRAPH_VERSION: u32 = 1;
 
-const MANIFEST_NAME: &str = "manifest.txt";
-const MANIFEST_HEADER: &str = "ukraine-ndt manifest v1";
-// v2 added the observability-delta section; v3 added missing-day ranges
-// to the StageOutput coverage codec. Older files fail the magic check
-// and are recomputed, which is exactly the right degradation.
-const CKPT_MAGIC: &[u8; 8] = b"NDTCKPT3";
+/// First line of a counters sidecar.
+const TALLY_HEADER: &str = "ukraine-ndt counters v1";
 
 /// Fingerprint of every configuration knob that influences stage output.
 ///
@@ -92,355 +85,86 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
     wire::fnv1a64(&buf)
 }
 
-/// Serializes an [`ObsDelta`] into the checkpoint's delta section.
-fn put_delta(buf: &mut Vec<u8>, delta: &ObsDelta) {
-    wire::put_u32(buf, delta.counters.len() as u32);
-    for (name, n) in &delta.counters {
-        wire::put_str(buf, name);
-        wire::put_u64(buf, *n);
-    }
-    wire::put_u32(buf, delta.gauges.len() as u32);
-    for (name, v) in &delta.gauges {
-        wire::put_str(buf, name);
-        wire::put_u64(buf, *v);
-    }
+/// Sidecar key of a unit whose file name does not carry the config
+/// fingerprint: binds the sidecar to both the config and the unit's bytes.
+pub(crate) fn content_key(fingerprint: u64, data: &[u8]) -> u64 {
+    let mut buf = Vec::with_capacity(8 + data.len());
+    wire::put_u64(&mut buf, fingerprint);
+    buf.extend_from_slice(data);
+    wire::fnv1a64(&buf)
 }
 
-/// Decodes a delta section written by [`put_delta`].
-fn read_delta(r: &mut wire::Reader<'_>) -> Result<ObsDelta, String> {
-    let mut delta = ObsDelta::default();
-    let n_counters = r.u32("delta counter count").map_err(|e| e.to_string())? as usize;
-    for _ in 0..n_counters {
-        let name = r.str("delta counter name").map_err(|e| e.to_string())?;
-        let n = r.u64("delta counter value").map_err(|e| e.to_string())?;
-        delta.counters.insert(name, n);
-    }
-    let n_gauges = r.u32("delta gauge count").map_err(|e| e.to_string())? as usize;
-    for _ in 0..n_gauges {
-        let name = r.str("delta gauge name").map_err(|e| e.to_string())?;
-        let v = r.u64("delta gauge value").map_err(|e| e.to_string())?;
-        delta.gauges.insert(name, v);
-    }
-    Ok(delta)
+fn tally_path(dir: &Path, unit: &str) -> PathBuf {
+    dir.join(format!("{unit}.counters.txt"))
 }
 
-/// A value the pipeline can checkpoint: serializes to bytes and restores
-/// from them. Errors are strings — a failed restore only means "recompute
-/// this stage", so no structured error type is warranted.
-pub trait Checkpointable: Sized {
-    /// Serialize to a self-contained byte payload.
-    fn to_checkpoint_bytes(&self) -> Vec<u8>;
-    /// Restore from a payload produced by [`Self::to_checkpoint_bytes`].
-    fn from_checkpoint_bytes(bytes: &[u8]) -> Result<Self, String>;
+/// Renders a tally as a `key` line and `counter`/`gauge` lines under
+/// [`TALLY_HEADER`], closed by a checksum over everything before it.
+fn tally_text(key: u64, tally: &Tally) -> String {
+    let mut text = format!("{TALLY_HEADER}\nkey {key:016x}\n");
+    for (name, n) in &tally.counters {
+        let _ = writeln!(text, "counter {name} {n}");
+    }
+    for (name, v) in &tally.gauges {
+        let _ = writeln!(text, "gauge {name} {v}");
+    }
+    let sum = wire::fnv1a64(text.as_bytes());
+    let _ = writeln!(text, "checksum {sum:016x}");
+    text
 }
 
-impl Checkpointable for Dataset {
-    fn to_checkpoint_bytes(&self) -> Vec<u8> {
-        self.to_bytes()
+/// Parses [`tally_text`] output; `None` on any deviation, or when the
+/// sidecar is bound to another key.
+fn parse_tally(text: &str, key: u64) -> Option<Tally> {
+    let (body, last) = text.strip_suffix('\n')?.rsplit_once('\n')?;
+    let body = &text[..body.len() + 1];
+    let sum = u64::from_str_radix(last.strip_prefix("checksum ")?, 16).ok()?;
+    if sum != wire::fnv1a64(body.as_bytes()) {
+        return None;
     }
-
-    fn from_checkpoint_bytes(bytes: &[u8]) -> Result<Self, String> {
-        Dataset::from_bytes(bytes).map_err(|e| e.to_string())
+    let mut lines = body.lines();
+    if lines.next() != Some(TALLY_HEADER) || lines.next() != Some(&format!("key {key:016x}")) {
+        return None;
     }
+    let mut tally = Tally::default();
+    for line in lines {
+        let mut parts = line.split(' ');
+        let (kind, name, value) = (parts.next()?, parts.next()?, parts.next()?);
+        let value: u64 = value.parse().ok()?;
+        match kind {
+            "counter" if parts.next().is_none() => tally.incr(name, value),
+            "gauge" if parts.next().is_none() => tally.set_gauge(name, value),
+            _ => return None,
+        }
+    }
+    Some(tally)
 }
 
-impl Checkpointable for String {
-    fn to_checkpoint_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.len() + 8);
-        wire::put_str(&mut buf, self);
-        buf
-    }
-
-    fn from_checkpoint_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = wire::Reader::new(bytes);
-        let s = r.str("string payload").map_err(|e| e.to_string())?;
-        if r.remaining() != 0 {
-            return Err("trailing bytes after string payload".into());
-        }
-        Ok(s)
-    }
+/// Atomically writes the counters sidecar of saved unit `unit` (a shard
+/// stem, or `country-b`) in `dir`, bound to `key`.
+pub(crate) fn write_tally(
+    vfs: &VfsHandle,
+    retry: &RetryPolicy,
+    dir: &Path,
+    unit: &str,
+    key: u64,
+    tally: &Tally,
+) -> std::io::Result<()> {
+    let text = tally_text(key, tally);
+    retry_io(retry, || {
+        crate::atomic::write_atomic_with(vfs, tally_path(dir, unit), text.as_bytes())
+    })
 }
 
-impl Checkpointable for StageOutput {
-    fn to_checkpoint_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        wire::put_str(&mut buf, self.name);
-        wire::put_str(&mut buf, &self.section);
-        wire::put_u32(&mut buf, self.artifacts.len() as u32);
-        for (file, content) in &self.artifacts {
-            wire::put_str(&mut buf, file);
-            wire::put_str(&mut buf, content);
-        }
-        let cov = &self.coverage;
-        wire::put_u64(&mut buf, cov.rows_seen as u64);
-        wire::put_u32(&mut buf, cov.dropped.len() as u32);
-        for (reason, n) in &cov.dropped {
-            wire::put_str(&mut buf, reason.label());
-            wire::put_u64(&mut buf, *n as u64);
-        }
-        wire::put_u32(&mut buf, cov.low_sample_cells.len() as u32);
-        for cell in &cov.low_sample_cells {
-            wire::put_str(&mut buf, cell);
-        }
-        wire::put_u32(&mut buf, cov.missing_day_ranges.len() as u32);
-        for &(lo, hi) in &cov.missing_day_ranges {
-            wire::put_u64(&mut buf, lo as u64);
-            wire::put_u64(&mut buf, hi as u64);
-        }
-        buf
-    }
-
-    fn from_checkpoint_bytes(bytes: &[u8]) -> Result<Self, String> {
-        use ndt_analysis::{Coverage, DropReason};
-        let mut r = wire::Reader::new(bytes);
-        let read = |r: &mut wire::Reader<'_>, what: &'static str| -> Result<String, String> {
-            r.str(what).map_err(|e| e.to_string())
-        };
-        let name = read(&mut r, "stage name")?;
-        // Restore the &'static identifiers from the registry — the stage
-        // registry is the single source of truth for names and artifact
-        // file names, so a checkpoint naming an unknown stage is stale.
-        let spec =
-            stage_spec(&name).ok_or_else(|| format!("checkpoint names unknown stage {name:?}"))?;
-        let section = read(&mut r, "section")?;
-        let n_artifacts = r.u32("artifact count").map_err(|e| e.to_string())? as usize;
-        if n_artifacts != spec.artifacts.len() {
-            return Err(format!(
-                "stage {name}: checkpoint has {n_artifacts} artifacts, registry declares {}",
-                spec.artifacts.len()
-            ));
-        }
-        let mut artifacts = Vec::with_capacity(n_artifacts);
-        for declared in spec.artifacts {
-            let file = read(&mut r, "artifact name")?;
-            if file != *declared {
-                return Err(format!(
-                    "stage {name}: checkpoint artifact {file:?} does not match declared {declared:?}"
-                ));
-            }
-            let content = read(&mut r, "artifact content")?;
-            artifacts.push((*declared, content));
-        }
-        let mut coverage = Coverage::new();
-        let rows = r.u64("rows_seen").map_err(|e| e.to_string())? as usize;
-        coverage.see(rows);
-        let n_drops = r.u32("drop count").map_err(|e| e.to_string())? as usize;
-        for _ in 0..n_drops {
-            let label = read(&mut r, "drop reason")?;
-            let reason = match label.as_str() {
-                "unlocated" => DropReason::Unlocated,
-                "non-finite" => DropReason::NonFinite,
-                "negative" => DropReason::Negative,
-                other => return Err(format!("unknown drop reason {other:?}")),
-            };
-            let n = r.u64("drop rows").map_err(|e| e.to_string())? as usize;
-            coverage.drop_rows(reason, n);
-        }
-        let n_cells = r.u32("low-sample cell count").map_err(|e| e.to_string())? as usize;
-        for _ in 0..n_cells {
-            coverage.low_sample_cells.push(read(&mut r, "low-sample cell")?);
-        }
-        let n_ranges = r.u32("missing-day range count").map_err(|e| e.to_string())? as usize;
-        for _ in 0..n_ranges {
-            let lo = r.u64("missing-day lo").map_err(|e| e.to_string())? as i64;
-            let hi = r.u64("missing-day hi").map_err(|e| e.to_string())? as i64;
-            coverage.note_missing_days(lo, hi);
-        }
-        if r.remaining() != 0 {
-            return Err(format!("stage {name}: trailing bytes in checkpoint"));
-        }
-        Ok(StageOutput { name: spec.name, section, artifacts, coverage })
-    }
-}
-
-/// The on-disk checkpoint store for one run directory.
-///
-/// Opening a store reads the manifest; if its fingerprint differs from the
-/// current configuration's, the store starts empty (stale checkpoints are
-/// never loaded, and the next successful stage rewrites the manifest).
-pub struct CheckpointStore {
-    dir: PathBuf,
-    fingerprint: u64,
-    retry: RetryPolicy,
-    vfs: VfsHandle,
-    entries: BTreeMap<String, u64>,
-}
-
-impl CheckpointStore {
-    /// Opens (creating if needed) the checkpoint directory under `out`,
-    /// routing all I/O through `vfs`. Orphaned atomic-write temporaries
-    /// left by a killed predecessor are swept on open (counted under the
-    /// `process.tmp_swept` metric).
-    pub fn open(
-        out: &Path,
-        fingerprint: u64,
-        retry: RetryPolicy,
-        vfs: VfsHandle,
-    ) -> io::Result<Self> {
-        let dir = out.join(CHECKPOINT_DIR);
-        retry_io(&retry, || vfs.create_dir_all(&dir))?;
-        if let Ok(swept) = sweep_orphan_temps(&vfs, &dir) {
-            if swept > 0 {
-                ndt_obs::incr_process("tmp_swept", swept as u64);
-            }
-        }
-        let mut store =
-            CheckpointStore { dir, fingerprint, retry, vfs, entries: BTreeMap::new() };
-        store.entries = store.read_manifest();
-        Ok(store)
-    }
-
-    /// Stage names with a manifest entry for this fingerprint.
-    pub fn known_stages(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
-    }
-
-    fn manifest_path(&self) -> PathBuf {
-        self.dir.join(MANIFEST_NAME)
-    }
-
-    fn stage_path(&self, stage: &str) -> PathBuf {
-        let sanitized: String = stage
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect();
-        self.dir.join(format!("stage-{sanitized}.ckpt"))
-    }
-
-    /// Parses the manifest; any mismatch (missing, malformed, different
-    /// fingerprint) yields an empty map — resume then recomputes all.
-    fn read_manifest(&self) -> BTreeMap<String, u64> {
-        let text = match self.vfs.read_to_string(&self.manifest_path()) {
-            Ok(t) => t,
-            Err(_) => return BTreeMap::new(),
-        };
-        let mut lines = text.lines();
-        if lines.next() != Some(MANIFEST_HEADER) {
-            return BTreeMap::new();
-        }
-        match lines.next().and_then(|l| l.strip_prefix("fingerprint ")) {
-            Some(hex) if u64::from_str_radix(hex, 16) == Ok(self.fingerprint) => {}
-            _ => return BTreeMap::new(),
-        }
-        let mut entries = BTreeMap::new();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, ' ');
-            let (tag, checksum, name) = (parts.next(), parts.next(), parts.next());
-            match (tag, checksum.and_then(|c| u64::from_str_radix(c, 16).ok()), name) {
-                (Some("stage"), Some(sum), Some(name)) => {
-                    entries.insert(name.to_string(), sum);
-                }
-                _ => return BTreeMap::new(), // malformed ⇒ distrust the lot
-            }
-        }
-        entries
-    }
-
-    fn write_manifest(&self) -> io::Result<()> {
-        retry_io(&self.retry, || {
-            let mut f = AtomicFile::create_with(&self.vfs, self.manifest_path())?;
-            writeln!(f, "{MANIFEST_HEADER}")?;
-            writeln!(f, "fingerprint {:016x}", self.fingerprint)?;
-            for (name, sum) in &self.entries {
-                writeln!(f, "stage {sum:016x} {name}")?;
-            }
-            f.commit()
-        })
-    }
-
-    /// Loads and verifies the checkpoint for `stage`, returning the
-    /// stage value and its observability delta. `None` means "not
-    /// resumable" for any reason — absent, corrupt, checksum or
-    /// fingerprint mismatch, undecodable — and the caller recomputes.
-    pub fn load<T: Checkpointable>(&self, stage: &str) -> Option<(T, ObsDelta)> {
-        let expected = *self.entries.get(stage)?;
-        let raw = self.vfs.read(&self.stage_path(stage)).ok()?;
-        // Layout: magic(8) fingerprint(8) body checksum(8), where body is
-        // delta_len(8) delta payload_len(8) payload. The checksum covers
-        // the whole body, so the delta is integrity-checked too.
-        if raw.len() < 24 {
-            return None;
-        }
-        let body = &raw[16..raw.len() - 8];
-        let mut r = wire::Reader::new(&raw);
-        if r.bytes(8, "magic").ok()? != CKPT_MAGIC {
-            return None;
-        }
-        if r.u64("fingerprint").ok()? != self.fingerprint {
-            return None;
-        }
-        let delta_len = r.u64("delta length").ok()? as usize;
-        if delta_len > r.remaining() {
-            return None;
-        }
-        let delta_bytes = r.bytes(delta_len, "delta").ok()?;
-        let mut delta_reader = wire::Reader::new(delta_bytes);
-        let delta = read_delta(&mut delta_reader).ok()?;
-        if delta_reader.remaining() != 0 {
-            return None;
-        }
-        let len = r.u64("payload length").ok()? as usize;
-        if len > r.remaining() {
-            return None;
-        }
-        let payload = r.bytes(len, "payload").ok()?;
-        let checksum = wire::fnv1a64(body);
-        if checksum != expected || r.u64("checksum").ok()? != checksum || r.remaining() != 0 {
-            return None;
-        }
-        let value = T::from_checkpoint_bytes(payload).ok()?;
-        Some((value, delta))
-    }
-
-    /// Persists `value` (plus the stage's observability delta) as the
-    /// checkpoint for `stage` and updates the manifest. Both writes are
-    /// atomic; the manifest is written second, so a crash between the
-    /// two leaves the stage un-listed (and it is recomputed — safe,
-    /// merely unlucky).
-    pub fn store<T: Checkpointable>(
-        &mut self,
-        stage: &str,
-        value: &T,
-        delta: &ObsDelta,
-    ) -> io::Result<()> {
-        let payload = value.to_checkpoint_bytes();
-        let mut delta_bytes = Vec::new();
-        put_delta(&mut delta_bytes, delta);
-        let mut raw = Vec::with_capacity(payload.len() + delta_bytes.len() + 48);
-        raw.extend_from_slice(CKPT_MAGIC);
-        wire::put_u64(&mut raw, self.fingerprint);
-        wire::put_u64(&mut raw, delta_bytes.len() as u64);
-        raw.extend_from_slice(&delta_bytes);
-        wire::put_u64(&mut raw, payload.len() as u64);
-        raw.extend_from_slice(&payload);
-        let checksum = wire::fnv1a64(&raw[16..]);
-        wire::put_u64(&mut raw, checksum);
-        let path = self.stage_path(stage);
-        retry_io(&self.retry, || crate::atomic::write_atomic_with(&self.vfs, &path, &raw))?;
-        self.entries.insert(stage.to_string(), checksum);
-        self.write_manifest()
-    }
+/// Reads back the counters sidecar of `unit`; `None` when it is missing,
+/// torn, corrupt or bound to another key (the unit is then recomputed).
+pub(crate) fn read_tally(vfs: &VfsHandle, dir: &Path, unit: &str, key: u64) -> Option<Tally> {
+    parse_tally(&vfs.read_to_string(&tally_path(dir, unit)).ok()?, key)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs;
-    use ndt_analysis::run_analysis_stage;
-    use ndt_analysis::StudyData;
-    use ndt_mlab::Simulator;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir()
-            .join(format!("ndt-runner-ckpt-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).expect("mkdir");
-        d
-    }
 
     #[test]
     fn fingerprint_tracks_every_knob_but_threads() {
@@ -482,87 +206,46 @@ mod tests {
     }
 
     #[test]
-    fn string_and_dataset_checkpoints_roundtrip() {
-        let d = tmpdir("roundtrip");
-        let cfg = SimConfig { scale: 0.01, ..SimConfig::small(11) };
-        let mut store =
-            CheckpointStore::open(&d, config_fingerprint(&cfg), RetryPolicy::NONE, VfsHandle::real()).expect("open");
-        let text = "== stage ==\nbody\n".to_string();
-        store.store("render", &text, &ObsDelta::default()).expect("store string");
-        assert_eq!(store.load::<String>("render").expect("load").0, text);
-
-        let ds = Simulator::new(cfg).run();
-        store.store("corpus:0-108", &ds, &ObsDelta::default()).expect("store dataset");
-        let (back, _): (Dataset, ObsDelta) = store.load("corpus:0-108").expect("load dataset");
-        assert_eq!(ds.to_bytes(), back.to_bytes(), "bit-exact dataset resume");
-        let _ = fs::remove_dir_all(&d);
+    fn tallies_roundtrip_and_damage_is_rejected() {
+        let mut tally = Tally::default();
+        tally.incr("sim.tests", 123);
+        tally.incr("store.bytes_file", 4567);
+        tally.set_gauge("topology.links", 9);
+        let text = tally_text(42, &tally);
+        assert_eq!(parse_tally(&text, 42), Some(tally.clone()));
+        assert_eq!(parse_tally(&text, 43), None, "a sidecar bound to another key");
+        assert_eq!(parse_tally(&tally_text(0, &Tally::default()), 0), Some(Tally::default()));
+        // Every single-bit flip and every truncation is caught.
+        for at in 0..text.len() {
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] ^= 0x01;
+            if let Ok(flipped) = String::from_utf8(bytes) {
+                assert_eq!(parse_tally(&flipped, 42), None, "flip at {at} accepted");
+            }
+            assert_eq!(parse_tally(&text[..at], 42), None, "truncation at {at} accepted");
+        }
     }
 
     #[test]
-    fn obs_deltas_roundtrip_with_the_checkpoint() {
-        let d = tmpdir("delta");
-        let cfg = SimConfig { scale: 0.01, ..SimConfig::small(17) };
-        let mut store =
-            CheckpointStore::open(&d, config_fingerprint(&cfg), RetryPolicy::NONE, VfsHandle::real()).expect("open");
-        let mut delta = ObsDelta::default();
-        delta.counters.insert("sim.tests".to_string(), 123);
-        delta.counters.insert("sim.traces".to_string(), 45);
-        delta.gauges.insert("topology.links".to_string(), 9);
-        store.store("render", &"text".to_string(), &delta).expect("store");
-        let (_, back) = store.load::<String>("render").expect("load");
-        assert_eq!(back, delta, "delta survives the roundtrip exactly");
-        let _ = fs::remove_dir_all(&d);
+    fn content_keys_track_the_config_and_the_bytes() {
+        let k = content_key(1, b"digest");
+        assert_eq!(k, content_key(1, b"digest"), "deterministic");
+        assert_ne!(k, content_key(2, b"digest"), "another config");
+        assert_ne!(k, content_key(1, b"digesT"), "other bytes");
     }
 
     #[test]
-    fn stage_output_checkpoints_roundtrip() {
-        let d = tmpdir("stageout");
-        let cfg = SimConfig { scale: 0.01, ..SimConfig::small(13) };
-        let data = StudyData::from_dataset(Simulator::new(cfg).run());
-        let out = run_analysis_stage("fig2", &data).expect("fig2");
-        let mut store =
-            CheckpointStore::open(&d, config_fingerprint(&cfg), RetryPolicy::NONE, VfsHandle::real()).expect("open");
-        store.store("fig2", &out, &ObsDelta::default()).expect("store");
-        let (back, _): (StageOutput, ObsDelta) = store.load("fig2").expect("load");
-        assert_eq!(out, back, "StageOutput resumes exactly");
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn fingerprint_mismatch_hides_checkpoints() {
-        let d = tmpdir("mismatch");
-        let cfg = SimConfig::small(7);
-        let fp = config_fingerprint(&cfg);
-        let mut store = CheckpointStore::open(&d, fp, RetryPolicy::NONE, VfsHandle::real()).expect("open");
-        store.store("render", &"cached".to_string(), &ObsDelta::default()).expect("store");
-        // Same fingerprint: visible.
-        let again = CheckpointStore::open(&d, fp, RetryPolicy::NONE, VfsHandle::real()).expect("reopen");
-        assert_eq!(again.load::<String>("render").map(|(v, _)| v).as_deref(), Some("cached"));
-        // Different fingerprint (e.g. a new seed): invisible.
-        let other_fp = config_fingerprint(&SimConfig { seed: 8, ..cfg });
-        let other = CheckpointStore::open(&d, other_fp, RetryPolicy::NONE, VfsHandle::real()).expect("reopen");
-        assert!(other.load::<String>("render").is_none());
-        assert_eq!(other.known_stages().count(), 0);
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn corrupted_checkpoints_are_rejected_not_trusted() {
-        let d = tmpdir("corrupt");
-        let cfg = SimConfig::small(7);
-        let fp = config_fingerprint(&cfg);
-        let mut store = CheckpointStore::open(&d, fp, RetryPolicy::NONE, VfsHandle::real()).expect("open");
-        store.store("render", &"precious".to_string(), &ObsDelta::default()).expect("store");
-        let path = store.stage_path("render");
-        let mut raw = fs::read(&path).expect("read");
-        let last = raw.len() - 9; // inside the payload, before the checksum
-        raw[last] ^= 0xff;
-        fs::write(&path, &raw).expect("rewrite");
-        let again = CheckpointStore::open(&d, fp, RetryPolicy::NONE, VfsHandle::real()).expect("reopen");
-        assert!(again.load::<String>("render").is_none(), "flipped byte must not verify");
-        // Truncation too.
-        fs::write(&path, &fs::read(&path).expect("read")[..10]).expect("truncate");
-        assert!(again.load::<String>("render").is_none());
-        let _ = fs::remove_dir_all(&d);
+    fn sidecars_are_written_atomically_and_read_back() {
+        let d = std::env::temp_dir().join(format!("ndt-runner-tally-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        std::fs::create_dir_all(&d).expect("mkdir");
+        let vfs = VfsHandle::real();
+        let mut tally = Tally::default();
+        tally.incr("sim.tests", 7);
+        assert_eq!(read_tally(&vfs, &d, "shard-x", 1), None, "missing sidecar");
+        write_tally(&vfs, &RetryPolicy::NONE, &d, "shard-x", 1, &tally).expect("write");
+        assert_eq!(read_tally(&vfs, &d, "shard-x", 1), Some(tally));
+        assert_eq!(read_tally(&vfs, &d, "shard-x", 2), None, "another unit's sidecar");
+        let _ = std::fs::remove_dir_all(&d);
     }
 }

@@ -9,34 +9,41 @@
 //! I/O error must cost one stage's work, not the whole run, and must never
 //! leave a torn artifact behind.
 //!
-//! The monolithic driver is decomposed into named, checkpointable stages:
+//! The monolithic pipeline is decomposed into named stages:
 //!
 //! * `topology` — the AS-graph build (exported as `topology.dot`);
-//! * `corpus:<lo>-<hi>` — dataset generation, sharded by day range so a
-//!   partially generated corpus is resumable at the first missing shard;
+//! * `corpus:<lo>-<hi>` — dataset generation, sharded by day range and
+//!   simulated on one bounded shard pool, so a partially generated corpus
+//!   is resumable shard by shard;
+//! * `country-b` — the second country's digest (two-country scenarios);
 //! * one stage per figure/table of the paper
 //!   ([`ndt_analysis::ANALYSIS_STAGES`]);
-//! * render/export — assembly of the report text and artifact files (pure
-//!   string work over checkpointed stage outputs; never checkpointed
-//!   itself).
+//! * render/export — assembly of the report text and artifact files.
 //!
 //! Guarantees, each carried by one module:
 //!
-//! * [`atomic`] — every artifact and checkpoint write goes through
+//! * [`atomic`] — every artifact, shard and manifest write goes through
 //!   write-temp → fsync → rename, so a crash at any instant leaves either
 //!   the old file or the new file, never a torn one;
-//! * [`executor`] — every stage body runs on an isolated worker thread
-//!   under `catch_unwind` with a wall-clock deadline; panics and hangs
-//!   become per-stage failures surfaced in the report (like PR 1's
-//!   coverage footers), not aborted runs;
+//! * [`corpus`] — one bounded shard pool simulates every corpus, for
+//!   every command, and hands the shards back in day order, so output,
+//!   records and counters are bit-identical at any `--threads`;
+//! * [`executor`] — every non-corpus stage body runs on an isolated worker
+//!   thread under `catch_unwind` with a wall-clock deadline; panics and
+//!   hangs become per-stage failures surfaced in the report (like the
+//!   degraded-data coverage footers), not aborted runs. Corpus shards get
+//!   the same per-shard panic containment on the shard pool;
 //! * [`retry`] — transient I/O errors are retried with bounded,
 //!   deterministically-jittered backoff (decorrelated jitter keyed per
 //!   worker, so concurrent writers never retry in lockstep);
-//! * [`checkpoint`] — completed stages persist to `<out>/.ukraine-ndt/`
-//!   under a content checksum and a run manifest keyed by a config
-//!   fingerprint (scale, seed, scenario, fault plan, crate version), so
-//!   `--resume` skips exactly the stages whose inputs are unchanged — and
-//!   recomputes everything when any config knob moved;
+//! * [`checkpoint`] — the store is the checkpoint: with checkpoints on,
+//!   corpus shards and the digest are saved as a columnar store under
+//!   `<out>/.ukraine-ndt/`, named by a config fingerprint (scale, seed,
+//!   scenario, fault plan, crate version) and carrying the counters they
+//!   published, so `--resume` reads back exactly the units whose inputs
+//!   are unchanged — and recomputes everything when any config knob
+//!   moved, dropping the old config's shards. Analysis stages and the
+//!   topology are recomputed;
 //! * [`pipeline`] — the orchestration: a resumed run is **bit-for-bit
 //!   identical** to an uninterrupted one (the integration suite kills a
 //!   run mid-flight and diffs the artifacts);
@@ -47,12 +54,13 @@
 //!
 //! Test-only hooks (environment variables, used by the crash-safety
 //! integration suite): `UKRAINE_NDT_PANIC_STAGE=<prefix>` panics inside
-//! the first matching stage body; `UKRAINE_NDT_EXIT_AFTER=<prefix>` exits
-//! the process (code 42) right after the first matching stage checkpoints
-//! — a deterministic stand-in for `kill -9`.
+//! every matching stage or shard body; `UKRAINE_NDT_EXIT_AFTER=<prefix>`
+//! exits the process (code 42) right after the first matching stage or
+//! shard is computed and saved — a deterministic stand-in for `kill -9`.
 
 pub mod atomic;
 pub mod checkpoint;
+pub mod corpus;
 pub mod executor;
 pub mod pipeline;
 pub mod retry;
@@ -61,11 +69,12 @@ pub mod store;
 pub use atomic::{
     rename_reliable, sweep_orphan_temps, write_atomic, write_atomic_with, AtomicFile,
 };
-pub use checkpoint::{config_fingerprint, Checkpointable, CheckpointStore, CHECKPOINT_DIR};
+pub use checkpoint::{config_fingerprint, CHECKPOINT_DIR};
+pub use corpus::CORPUS_SHARD_DAYS;
 pub use executor::{run_isolated, CancelToken, ExecPolicy, StageError, StageFault};
 pub use pipeline::{
     run_export, run_generate, run_report, PipelineConfig, PipelineOutcome, StageRecord,
-    StageStatus, CORPUS_SHARD_DAYS,
+    StageStatus,
 };
 pub use retry::{retry_io, RetryPolicy};
 pub use store::{

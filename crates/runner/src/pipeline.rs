@@ -1,20 +1,24 @@
 //! The staged pipeline: orchestration of topology, corpus shards,
 //! analysis stages and report assembly.
 //!
-//! Every stage runs through [`crate::executor::run_isolated`] (panic +
-//! deadline isolation) and, when checkpointing is enabled, persists its
-//! output through [`crate::checkpoint::CheckpointStore`] before the next
-//! stage starts. Resume therefore restarts at the first stage whose
-//! checkpoint is missing or fails verification — and because corpus
-//! generation uses per-(client, day) RNG streams, a resumed run is
-//! bit-for-bit identical to an uninterrupted one.
+//! The corpus runs on the shard pool of [`crate::corpus`]; every other
+//! stage runs through [`crate::executor::run_isolated`] (panic +
+//! deadline isolation). Every stage and shard body runs under
+//! [`ndt_obs::capture`]: its counters are published only once its value
+//! is committed, so a failed, retried or abandoned attempt never
+//! miscounts. With checkpoints on, corpus shards and the second
+//! country's digest are saved to the store at `<out>/.ukraine-ndt/` as
+//! they complete, and `--resume` reads back every unit that validates —
+//! per-(client, day) RNG streams make the resumed run bit-for-bit
+//! identical to an uninterrupted one.
 //!
-//! Report assembly itself is never checkpointed: it is pure string work
-//! over the stage outputs, cheaper to redo than to verify.
+//! The topology, the analysis stages and report assembly are never
+//! checkpointed: they are recomputed on every run, cheaper to redo than
+//! to verify.
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::Arc;
 
 use ndt_analysis::{
     assemble_staged_report, run_analysis_stage, CountryDigest, StageFailure, StageOutput,
@@ -22,17 +26,15 @@ use ndt_analysis::{
 };
 use ndt_mlab::schema::Dataset;
 use ndt_mlab::sim::SimConfig;
-use ndt_mlab::Simulator;
+use ndt_obs::Tally;
 use ndt_topology::{build_topology, to_dot, TopologyConfig};
 use ndt_vfs::VfsHandle;
 
-use crate::checkpoint::{config_fingerprint, Checkpointable, CheckpointStore};
+use crate::checkpoint::{content_key, read_tally, write_tally, CHECKPOINT_DIR};
+use crate::corpus::{run_shards, PoolPlan, ShardDone, UnitStore, CORPUS_SHARD_DAYS};
 use crate::executor::{run_isolated, CancelToken, ExecPolicy, StageError, StageFault};
-
-/// Days per corpus shard. 27 divides both study windows (108 days of
-/// 2021 baseline, 108 days of 2022) into 4 shards each, so a kill during
-/// generation costs at most one shard of work.
-pub const CORPUS_SHARD_DAYS: i64 = 27;
+use crate::retry::retry_io;
+use crate::store::{write_manifest, COUNTRY_DIGEST_FILE, STORE_MANIFEST};
 
 /// How one run of the pipeline should behave.
 #[derive(Debug, Clone)]
@@ -41,11 +43,13 @@ pub struct PipelineConfig {
     pub sim: SimConfig,
     /// Output directory (checkpoints live in `<out>/.ukraine-ndt/`).
     pub out: PathBuf,
-    /// Persist stage checkpoints as stages complete.
+    /// Save corpus shards (and the second country's digest) to the
+    /// checkpoint store as they complete.
     pub checkpoints: bool,
-    /// Load matching checkpoints instead of recomputing.
+    /// Read back saved units that validate instead of recomputing them.
     pub resume: bool,
-    /// Per-stage execution limits.
+    /// Execution limits of the non-corpus stages, and the I/O retry
+    /// policy of every save.
     pub exec: ExecPolicy,
     /// Filesystem the run's checkpoints, artifacts and store traffic go
     /// through. [`VfsHandle::real`] in production; a fault-injecting
@@ -72,7 +76,7 @@ impl PipelineConfig {
 pub enum StageStatus {
     /// Ran in this process.
     Computed,
-    /// Loaded from a verified checkpoint.
+    /// Read back from a verified checkpoint.
     Resumed,
     /// Did not produce a value (panic, deadline, fault, or skipped
     /// because an upstream stage failed).
@@ -132,10 +136,10 @@ pub(crate) fn maybe_injected_panic(stage: &str) {
 }
 
 /// Test hook: `UKRAINE_NDT_EXIT_AFTER=<prefix>` exits the process (code
-/// 42) right after the first matching stage is computed and checkpointed
-/// — a deterministic stand-in for `kill -9` mid-run. Resumed stages do
-/// not trigger it, so a resume with the variable still set makes
-/// progress past the original crash point.
+/// 42) right after the first matching stage is computed and saved — a
+/// deterministic stand-in for `kill -9` mid-run. Resumed stages do not
+/// trigger it, so a resume with the variable still set makes progress
+/// past the original crash point.
 pub(crate) fn maybe_exit_after(stage: &str) {
     if env_prefix_matches("UKRAINE_NDT_EXIT_AFTER", stage) {
         ndt_obs::warn!("[runner] simulated crash after stage {stage} (UKRAINE_NDT_EXIT_AFTER)");
@@ -144,92 +148,69 @@ pub(crate) fn maybe_exit_after(stage: &str) {
 }
 
 pub(crate) struct Pipeline {
-    pub(crate) store: Option<CheckpointStore>,
-    pub(crate) resume: bool,
-    pub(crate) exec: ExecPolicy,
+    exec: ExecPolicy,
+    /// Where corpus units are saved and resumed from; `None` keeps the
+    /// run off disk.
+    store: Option<UnitStore>,
     pub(crate) records: Vec<StageRecord>,
+    /// Corpus units (shards, the digest) on disk in `store`, resumed or
+    /// saved by this run.
+    saved_units: usize,
 }
 
 impl Pipeline {
-    fn open(cfg: &PipelineConfig) -> io::Result<Self> {
-        let store = if cfg.checkpoints {
-            Some(CheckpointStore::open(
-                &cfg.out,
-                config_fingerprint(&cfg.sim),
-                cfg.exec.retry,
-                cfg.vfs.clone(),
-            )?)
-        } else {
-            None
-        };
-        Ok(Pipeline { store, resume: cfg.resume, exec: cfg.exec, records: Vec::new() })
+    /// A pipeline that saves nothing.
+    pub(crate) fn in_memory(exec: ExecPolicy) -> Self {
+        Pipeline { exec, store: None, records: Vec::new(), saved_units: 0 }
     }
 
-    /// Runs one stage: resume from checkpoint when allowed, else execute
-    /// `body` isolated, checkpoint the result, and record the outcome.
-    /// `None` means the stage failed; the pipeline continues.
-    ///
-    /// Observability: the whole attempt (including retries) runs under a
-    /// `stage.<name>` span; the counter/gauge delta the body records is
-    /// captured and persisted with the checkpoint, and re-applied when
-    /// the stage is later resumed — so a resumed run's counters are
-    /// bit-identical to a clean run's.
-    fn stage<T: Checkpointable + Send + 'static>(
+    /// A pipeline saving to `store`.
+    pub(crate) fn with_store(exec: ExecPolicy, store: UnitStore) -> Self {
+        Pipeline { store: Some(store), ..Self::in_memory(exec) }
+    }
+
+    fn open(cfg: &PipelineConfig) -> io::Result<Self> {
+        if !cfg.checkpoints {
+            return Ok(Self::in_memory(cfg.exec));
+        }
+        let store = UnitStore::open(cfg, cfg.out.join(CHECKPOINT_DIR), false)?;
+        Ok(Self::with_store(cfg.exec, store))
+    }
+
+    /// Runs one stage body isolated, under [`ndt_obs::capture`], and
+    /// returns its value with the counters it recorded — unpublished until
+    /// [`Pipeline::commit`]. `None` means the stage failed (and is
+    /// recorded); the pipeline continues. The attempt, retries included,
+    /// runs under a `stage.<name>` span.
+    fn stage<T: Send + 'static>(
         &mut self,
         name: &str,
         body: impl Fn(&CancelToken) -> Result<T, StageFault> + Send + Sync + 'static,
-    ) -> Option<T> {
-        if self.resume {
-            if let Some(store) = &self.store {
-                if let Some((value, delta)) = store.load::<T>(name) {
-                    ndt_obs::apply_delta(&delta);
-                    ndt_obs::incr_process("checkpoint.hits", 1);
-                    ndt_obs::info!("[runner] stage {name}: resumed from checkpoint");
-                    self.records
-                        .push(StageRecord { name: name.to_string(), status: StageStatus::Resumed });
-                    return Some(value);
-                }
-                ndt_obs::incr_process("checkpoint.misses", 1);
-            }
-        }
+    ) -> Option<(T, Tally)> {
         let hook = name.to_string();
         let wrapped = move |cancel: &CancelToken| {
             maybe_injected_panic(&hook);
-            body(cancel)
+            let (value, tally) = ndt_obs::capture(|| body(cancel));
+            value.map(|v| (v, tally))
         };
         let span = ndt_obs::span(&format!("stage.{name}"));
-        let before = ndt_obs::counters_snapshot();
         let outcome = run_isolated(name, &self.exec, wrapped);
         drop(span);
-        match outcome {
-            Ok(value) => {
-                let delta = ndt_obs::delta_since(&before);
-                if let Some(store) = &mut self.store {
-                    match store.store(name, &value, &delta) {
-                        Ok(()) => ndt_obs::incr_process("checkpoint.writes", 1),
-                        Err(e) => {
-                            // A failed checkpoint write degrades resume,
-                            // not the run: warn and keep going.
-                            ndt_obs::incr_process("checkpoint.write_errors", 1);
-                            ndt_obs::warn!(
-                                "[runner] warning: could not checkpoint stage {name}: {e}"
-                            );
-                        }
-                    }
-                }
-                ndt_obs::info!("[runner] stage {name}: computed");
-                self.records
-                    .push(StageRecord { name: name.to_string(), status: StageStatus::Computed });
-                maybe_exit_after(name);
-                Some(value)
-            }
-            Err(err) => {
-                ndt_obs::error!("[runner] stage {name}: FAILED: {err}");
-                self.records
-                    .push(StageRecord { name: name.to_string(), status: StageStatus::Failed(err) });
-                None
-            }
-        }
+        outcome.map_err(|err| self.fail(name, err)).ok()
+    }
+
+    /// Commits a computed stage: publishes its counters, records it, and
+    /// honours the crash hook.
+    fn commit(&mut self, name: &str, tally: &Tally) {
+        tally.publish();
+        ndt_obs::info!("[runner] stage {name}: computed");
+        self.records.push(StageRecord { name: name.to_string(), status: StageStatus::Computed });
+        maybe_exit_after(name);
+    }
+
+    fn fail(&mut self, name: &str, err: StageError) {
+        ndt_obs::error!("[runner] stage {name}: FAILED: {err}");
+        self.records.push(StageRecord { name: name.to_string(), status: StageStatus::Failed(err) });
     }
 
     /// Records a stage as failed without running it (upstream failure).
@@ -243,88 +224,104 @@ impl Pipeline {
 
     /// The Graphviz topology artifact.
     fn topology(&mut self) -> Option<String> {
-        self.stage::<String>("topology", |_cancel| {
+        let (dot, tally) = self.stage("topology", |_cancel| {
             let built = build_topology(&TopologyConfig::default());
             Ok(to_dot(&built.topology, false))
+        })?;
+        self.commit("topology", &tally);
+        Some(dot)
+    }
+
+    /// Runs the corpus on the shard pool ([`run_shards`]), recording each
+    /// shard before handing it to `f`.
+    pub(crate) fn shards(&mut self, sim: &SimConfig, mut f: impl FnMut(ShardDone)) -> PoolPlan {
+        let (records, saved) = (&mut self.records, &mut self.saved_units);
+        run_shards(sim, self.store.as_ref(), |shard| {
+            *saved += usize::from(shard.saved);
+            records.push(shard.record.clone());
+            f(shard)
         })
     }
 
-    /// Generates the corpus shard by shard. Each shard is its own
-    /// checkpointable stage; the simulator instance is reused across
-    /// shards when possible, but a fresh `Simulator` per shard produces
-    /// identical bytes (per-(client, day) RNG streams), which is what
-    /// makes resuming from an arbitrary shard boundary sound.
-    fn corpus(&mut self, sim_cfg: &SimConfig) -> Option<Dataset> {
-        let shared = Arc::new(Mutex::new(None::<Simulator>));
-        let mut parts = Vec::new();
-        let mut all_ok = true;
-        for range in sim_cfg.shards(CORPUS_SHARD_DAYS) {
-            // Zero-padded day labels so span names in bench artifacts sort
-            // numerically (054 before 365), matching shard-stem naming.
-            let name = format!("corpus:{:03}-{:03}", range.start, range.end);
-            let cfg = *sim_cfg;
-            let shared = Arc::clone(&shared);
-            let part = self.stage::<Dataset>(&name, move |_cancel| {
-                let mut guard = match shared.try_lock() {
-                    Ok(g) => g,
-                    Err(TryLockError::Poisoned(p)) => {
-                        // A previous shard panicked mid-generation; its
-                        // simulator state is suspect. Drop it and rebuild.
-                        let mut g = p.into_inner();
-                        *g = None;
-                        g
-                    }
-                    Err(TryLockError::WouldBlock) => {
-                        // An abandoned (deadline-exceeded) attempt still
-                        // holds the lock; a fresh simulator yields the
-                        // same bytes.
-                        let mut fresh = Simulator::new(cfg);
-                        return Ok(fresh.run_range(range.clone()));
-                    }
-                };
-                let sim = guard.get_or_insert_with(|| Simulator::new(cfg));
-                Ok(sim.run_range(range.clone()))
-            });
-            match part {
-                Some(ds) => parts.push(ds),
-                None => all_ok = false,
+    /// The corpus rows in day order, or `None` when any shard failed (the
+    /// records say which).
+    fn corpus(&mut self, sim: &SimConfig) -> Option<Dataset> {
+        let mut full = Some(Dataset::default());
+        self.shards(sim, |shard| match (&mut full, shard.rows) {
+            (Some(full), Some(mut part)) => {
+                full.ndt.append(&mut part.ndt);
+                full.traces.append(&mut part.traces);
             }
-        }
-        if !all_ok {
-            return None;
-        }
-        let mut full = Dataset { ndt: Vec::new(), traces: Vec::new() };
-        for mut p in parts {
-            full.ndt.append(&mut p.ndt);
-            full.traces.append(&mut p.traces);
-        }
-        Some(full)
+            _ => full = None,
+        });
+        full
     }
 
-    /// Generates and digests the second country's corpus when the
-    /// scenario declares one (asymmetric scenarios), as its own
-    /// checkpointable `country-b` stage. The digest is checkpointed in
-    /// its lossless text form, so a resumed run re-attaches bit-identical
-    /// stats. `None` on single-country scenarios *and* on stage failure
-    /// (the records distinguish the two).
-    pub(crate) fn second_country(&mut self, sim_cfg: &SimConfig) -> Option<CountryDigest> {
-        sim_cfg.scenario.spec().second_country.as_ref()?;
-        let cfg = *sim_cfg;
-        let text = self.stage::<String>("country-b", move |_cancel| {
+    /// The second country's digest (asymmetric scenarios) as the
+    /// `country-b` unit: read back from the store on resume, else computed
+    /// and saved beside the shards with its counters. `None` on
+    /// single-country scenarios *and* on failure (the records distinguish
+    /// the two).
+    pub(crate) fn second_country(&mut self, sim: &SimConfig) -> Option<CountryDigest> {
+        const NAME: &str = "country-b";
+        sim.scenario.spec().second_country.as_ref()?;
+        let resumed = self.store.as_ref().filter(|s| s.resume).and_then(|s| {
+            let text = s.vfs.read_to_string(&s.dir.join(COUNTRY_DIGEST_FILE)).ok()?;
+            let key = content_key(s.fingerprint, text.as_bytes());
+            let tally = read_tally(&s.vfs, &s.dir, NAME, key)?;
+            Some((CountryDigest::parse(&text).ok()?, tally))
+        });
+        if let Some((digest, tally)) = resumed {
+            tally.publish();
+            ndt_obs::incr_process("store.digest_resumed", 1);
+            ndt_obs::info!("[runner] stage {NAME}: resumed from checkpoint");
+            self.records.push(StageRecord { name: NAME.to_string(), status: StageStatus::Resumed });
+            self.saved_units += 1;
+            return Some(digest);
+        }
+        let cfg = *sim;
+        let (digest, tally) = self.stage(NAME, move |_cancel| {
             ndt_analysis::second_country_digest(&cfg)
                 .map_err(|e| StageFault::permanent(e.to_string()))?
-                .map(|d| d.to_text())
-                .ok_or_else(|| {
-                    StageFault::permanent("scenario lost its second country".to_string())
-                })
+                .ok_or_else(|| StageFault::permanent("scenario lost its second country"))
         })?;
-        match CountryDigest::parse(&text) {
-            Ok(d) => Some(d),
-            Err(e) => {
-                self.skip("country-b:parse", &format!("corrupt digest checkpoint: {e}"));
-                None
+        if let Some(store) = &self.store {
+            let (path, text) = (store.dir.join(COUNTRY_DIGEST_FILE), digest.to_text());
+            let key = content_key(store.fingerprint, text.as_bytes());
+            let saved = retry_io(&store.retry, || {
+                crate::atomic::write_atomic_with(&store.vfs, &path, text.as_bytes())
+            })
+            .and_then(|()| write_tally(&store.vfs, &store.retry, &store.dir, NAME, key, &tally));
+            match store.settle(NAME, saved) {
+                Ok(saved) => {
+                    ndt_obs::incr_process("store.digest_written", u64::from(saved));
+                    self.saved_units += usize::from(saved);
+                }
+                Err(err) => {
+                    self.fail(NAME, err);
+                    return None;
+                }
             }
         }
+        self.commit(NAME, &tally);
+        Some(digest)
+    }
+
+    /// Writes `STORE.txt` once every corpus unit — each shard, and the
+    /// digest when the scenario has a second country — is on disk: the
+    /// checkpoint directory is then a store `report --from-store` reads.
+    /// A no-op without a store, or while a unit is missing.
+    pub(crate) fn seal(&self, sim: &SimConfig) -> io::Result<()> {
+        let Some(store) = &self.store else { return Ok(()) };
+        let units = sim.shards(CORPUS_SHARD_DAYS).len()
+            + usize::from(sim.scenario.spec().second_country.is_some());
+        if self.saved_units < units {
+            return Ok(());
+        }
+        store
+            .settle(STORE_MANIFEST, write_manifest(store, sim))
+            .map(|_| ())
+            .map_err(|e| io::Error::other(e.to_string()))
     }
 
     /// Runs every analysis stage of [`ANALYSIS_STAGES`] over `data`, plus
@@ -337,10 +334,11 @@ impl Pipeline {
         for spec in ANALYSIS_STAGES.iter().chain(scenario_stages.iter()) {
             let name = spec.name;
             let data = Arc::clone(&data);
-            let out = self.stage::<StageOutput>(name, move |_cancel| {
+            let out = self.stage(name, move |_cancel| {
                 run_analysis_stage(name, &data).map_err(|e| StageFault::permanent(e.to_string()))
             });
-            if let Some(o) = out {
+            if let Some((o, tally)) = out {
+                self.commit(name, &tally);
                 outputs.push(o);
             }
         }
@@ -358,13 +356,22 @@ impl Pipeline {
             })
             .collect()
     }
+
+    /// The first failure as an error: `generate --format columnar` fails
+    /// whole, naming the first failed unit in day order.
+    pub(crate) fn fail_fast(&self) -> io::Result<()> {
+        match self.failures().first() {
+            Some(f) => Err(io::Error::other(format!("stage {} {}", f.name, f.reason))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Shared tail of `report`/`export`: corpus → analyses → assembled report.
 fn analyse_and_assemble(
     p: &mut Pipeline,
     cfg: &PipelineConfig,
-) -> (Vec<StageOutput>, String) {
+) -> io::Result<(Vec<StageOutput>, String)> {
     let two_country = cfg.sim.scenario.spec().second_country.is_some();
     let outputs = match p.corpus(&cfg.sim) {
         Some(corpus) => {
@@ -375,6 +382,7 @@ fn analyse_and_assemble(
                     None => p.skip("table_ab", "country-b digest unavailable"),
                 }
             }
+            p.seal(&cfg.sim)?;
             p.analyses(Arc::new(data))
         }
         None => {
@@ -388,13 +396,13 @@ fn analyse_and_assemble(
         }
     };
     let report = assemble_staged_report(&outputs, &p.failures());
-    (outputs, report)
+    Ok((outputs, report))
 }
 
 /// The `report` command: corpus + analyses + assembled report text.
 pub fn run_report(cfg: &PipelineConfig) -> io::Result<PipelineOutcome> {
     let mut p = Pipeline::open(cfg)?;
-    let (outputs, report) = analyse_and_assemble(&mut p, cfg);
+    let (outputs, report) = analyse_and_assemble(&mut p, cfg)?;
     let artifacts = outputs
         .iter()
         .flat_map(|o| o.artifacts.iter().map(|(f, c)| (f.to_string(), c.clone())))
@@ -411,7 +419,7 @@ pub fn run_export(cfg: &PipelineConfig) -> io::Result<PipelineOutcome> {
     if let Some(dot) = p.topology() {
         artifacts.push(("topology.dot".to_string(), dot));
     }
-    let (outputs, report) = analyse_and_assemble(&mut p, cfg);
+    let (outputs, report) = analyse_and_assemble(&mut p, cfg)?;
     artifacts
         .extend(outputs.iter().flat_map(|o| {
             o.artifacts.iter().map(|(f, c)| (f.to_string(), c.clone()))
@@ -419,11 +427,17 @@ pub fn run_export(cfg: &PipelineConfig) -> io::Result<PipelineOutcome> {
     Ok(PipelineOutcome { report, artifacts, records: p.records })
 }
 
-/// The `generate` command: corpus only. `None` when any shard failed;
-/// the records say which.
+/// The `generate` command: the corpus. `None` when any shard failed; the
+/// records say which. With checkpoints on, a two-country scenario also
+/// computes the `country-b` digest, so the checkpoint store seals as
+/// `export`'s does.
 pub fn run_generate(cfg: &PipelineConfig) -> io::Result<(Option<Dataset>, Vec<StageRecord>)> {
     let mut p = Pipeline::open(cfg)?;
     let corpus = p.corpus(&cfg.sim);
+    if corpus.is_some() && p.store.is_some() {
+        p.second_country(&cfg.sim);
+    }
+    p.seal(&cfg.sim)?;
     Ok((corpus, p.records))
 }
 
@@ -445,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn resumed_export_is_bit_identical_and_skips_every_stage() {
+    fn resumed_export_is_bit_identical_and_reads_back_every_shard() {
         let d = tmpdir("resume");
         let mut cfg = PipelineConfig::new(tiny(21), &d);
         let first = run_export(&cfg).expect("first run");
@@ -458,9 +472,11 @@ mod tests {
         cfg.resume = true;
         let second = run_export(&cfg).expect("resumed run");
         assert!(second.is_complete());
+        // Shards are checkpointed; the topology and analyses recompute.
+        let resumed = |r: &StageRecord| r.status == StageStatus::Resumed;
         assert!(
-            second.records.iter().all(|r| r.status == StageStatus::Resumed),
-            "full checkpoint set resumes everything: {:?}",
+            second.records.iter().all(|r| resumed(r) == r.name.starts_with("corpus:")),
+            "full checkpoint set resumes every shard: {:?}",
             second.records
         );
         assert_eq!(first.report, second.report, "report text is bit-identical");
@@ -484,6 +500,23 @@ mod tests {
             records2.iter().all(|r| r.status == StageStatus::Computed),
             "stale checkpoints must not be resumed: {records2:?}"
         );
+
+        // The checkpoint store keeps one config: the old seed's shards are
+        // gone, and the store is sealed over the new seed's.
+        let dir = d.join(CHECKPOINT_DIR);
+        let shard_files: Vec<String> = fs::read_dir(&dir)
+            .expect("checkpoint store")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("shard-"))
+            .collect();
+        // A `.unified.ndts`, a `.traces.ndts` and a sidecar per shard.
+        let shards = other.sim.shards(CORPUS_SHARD_DAYS).len();
+        assert_eq!(shard_files.len(), 3 * shards, "{shard_files:?}");
+        let fp = crate::checkpoint::config_fingerprint(&other.sim);
+        let fp_hex = format!("{fp:016x}");
+        assert!(shard_files.iter().all(|n| n.contains(&fp_hex)), "stale: {shard_files:?}");
+        let sealed = crate::store::read_store_fingerprint(&VfsHandle::real(), &dir);
+        assert_eq!(sealed.expect("sealed"), fp);
         let _ = fs::remove_dir_all(&d);
     }
 
@@ -508,8 +541,8 @@ mod tests {
         let cfg = PipelineConfig::new(tiny(33), &d);
         let (ds, _) = run_generate(&cfg).expect("generate");
         let ds = ds.expect("complete corpus");
-        let full = Simulator::new(cfg.sim).run();
-        assert_eq!(ds.to_bytes(), full.to_bytes(), "sharded pipeline == monolithic simulator");
+        let full = ndt_mlab::Simulator::new(cfg.sim).run();
+        assert_eq!(ds, full, "sharded pipeline == monolithic simulator");
         let _ = fs::remove_dir_all(&d);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! Backoff is **decorrelated jitter** (each delay drawn from
 //! `[base, 3 × previous]`, capped at 2 s) rather than plain doubling:
-//! the store keeps several writer threads in flight, and if all of them
+//! the shard pool keeps several writers in flight, and if all of them
 //! hit the same transient stall, lockstep doubling would retry them as a
 //! thundering herd at identical instants forever. The jitter draw comes
 //! from a deterministic keyed RNG ([`RetryPolicy::jitter_seed`], mixed

@@ -4,20 +4,16 @@
 //! Corpus generation writes each day-range shard as a pair of `ndt-store`
 //! files — `<stem>.unified.ndts` and `<stem>.traces.ndts` — where the
 //! stem carries the day range and the run's config fingerprint:
-//! `shard-036-063-<fp16>`. Shards *simulate in parallel*: day-range
-//! shards are independent (per-(client, day) RNG streams; proven
-//! bit-identical to a slice of a full run), so a work-stealing pool of
-//! shard workers claims them in day order, each worker reusing its own
-//! `Simulator` across the shards it claims and handing finished datasets
-//! to background writer threads so its next shard simulates while the
-//! previous one encodes. The thread budget is resolved once:
-//! `shard_workers × engines_per_shard ≤ --threads` (or all cores), never
-//! oversubscribed. Results merge back in manifest (day) order, so
-//! `STORE.txt`, the summary stats and every counter are byte-identical
-//! to a sequential run. Every file goes through [`AtomicFile`], and the
-//! `STORE.txt` manifest is written **last**, so a killed run leaves
-//! either no manifest (partial store, next run resumes shard-by-shard)
-//! or a manifest describing only complete, validated files.
+//! `shard-036-063-<fp16>`. Beside each pair sits the counters sidecar
+//! `<stem>.counters.txt` ([`crate::checkpoint`]). Shards simulate on the
+//! one shard pool of [`crate::corpus`], which hands them back in day
+//! order, so `STORE.txt`, the summary stats and every counter are
+//! byte-identical at any `--threads`. Every file goes through
+//! [`AtomicFile`], and the `STORE.txt` manifest is written **last**, so a
+//! killed run leaves either no manifest (partial store, next run resumes
+//! shard-by-shard) or a manifest describing only complete, validated
+//! files. The checkpoint directory of `report`/`export`/`generate` is a
+//! store of exactly this shape.
 //!
 //! `report --from-store` never runs the simulator: it streams the
 //! manifest's shards back through [`ndt_mlab::columnar`], rebuilds
@@ -39,17 +35,15 @@ use ndt_mlab::columnar::{
     write_unified, RowFilter, UnifiedBatch,
 };
 use ndt_mlab::sim::SimConfig;
-use ndt_mlab::Simulator;
 use ndt_store::{wire, ScanStats, Shard, WriteStats};
 use ndt_vfs::VfsHandle;
 
-use crate::atomic::{rename_reliable, sweep_orphan_temps, AtomicFile};
+use crate::atomic::{rename_reliable, AtomicFile};
 use crate::checkpoint::config_fingerprint;
+use crate::corpus::{UnitStore, CORPUS_SHARD_DAYS};
 use crate::executor::{ExecPolicy, StageError};
+use crate::pipeline::{Pipeline, PipelineConfig, PipelineOutcome, StageRecord, StageStatus};
 use crate::retry::retry_io;
-use crate::pipeline::{
-    Pipeline, PipelineConfig, PipelineOutcome, StageRecord, StageStatus, CORPUS_SHARD_DAYS,
-};
 
 /// Manifest file name inside a store directory.
 pub const STORE_MANIFEST: &str = "STORE.txt";
@@ -60,9 +54,6 @@ const MANIFEST_HEADER: &str = "ukraine-ndt store v1";
 /// Second-country digest file (asymmetric scenarios), recorded in the
 /// manifest with a `digest` line.
 pub const COUNTRY_DIGEST_FILE: &str = "country-b.digest.txt";
-/// Writer threads kept in flight while simulation works ahead, split
-/// across the shard workers (at least one each).
-const WRITERS_IN_FLIGHT: usize = 4;
 
 /// What `generate --format columnar` produced.
 #[derive(Debug)]
@@ -77,7 +68,7 @@ pub struct StoreSummary {
     pub shards: Vec<String>,
 }
 
-fn shard_stem(lo: i64, hi: i64, fingerprint: u64) -> String {
+pub(crate) fn shard_stem(lo: i64, hi: i64, fingerprint: u64) -> String {
     format!("shard-{lo:03}-{hi:03}-{fingerprint:016x}")
 }
 
@@ -90,6 +81,15 @@ fn stem_day_range(stem: &str) -> Option<(i64, i64)> {
     let lo = parts.next()?.parse().ok()?;
     let hi = parts.next()?.parse().ok()?;
     (lo < hi).then_some((lo, hi))
+}
+
+/// Parses the config fingerprint back out of a shard file name
+/// (`<stem>.unified.ndts`, `<stem>.traces.ndts`, `<stem>.counters.txt`).
+pub(crate) fn shard_file_fingerprint(name: &str) -> Option<u64> {
+    let stem = name.split('.').next()?;
+    stem_day_range(stem)?;
+    let hex = stem.rsplit('-').next().filter(|hex| hex.len() == 16)?;
+    u64::from_str_radix(hex, 16).ok()
 }
 
 fn unified_name(stem: &str) -> String {
@@ -105,7 +105,7 @@ fn traces_name(stem: &str) -> String {
 /// one shard. The payload sweep matters: [`Shard::open`] alone accepts a
 /// file whose page bodies were corrupted in place (structure and footer
 /// intact), which resume must rewrite rather than trust.
-fn shard_is_complete(vfs: &VfsHandle, dir: &Path, stem: &str) -> bool {
+pub(crate) fn shard_is_complete(vfs: &VfsHandle, dir: &Path, stem: &str) -> bool {
     let ok = |name: String| {
         Shard::open_with(vfs, dir.join(name)).and_then(|s| s.verify_payloads()).is_ok()
     };
@@ -115,285 +115,83 @@ fn shard_is_complete(vfs: &VfsHandle, dir: &Path, stem: &str) -> bool {
 /// Generates the corpus into `store_dir` as columnar shard files.
 ///
 /// With `cfg.resume`, shards whose files already exist under the same
-/// config fingerprint and validate fully — structure and every page
-/// payload checksum — are kept as-is ([`StageStatus::Resumed`]);
-/// anything else is regenerated. The manifest is rewritten at the end
-/// of every successful run.
+/// config fingerprint and validate fully — counters sidecar, structure
+/// and every page payload checksum — are kept as-is
+/// ([`StageStatus::Resumed`]); anything else is regenerated. The manifest
+/// is rewritten at the end of every successful run. Any shard that fails
+/// fails the run, with the first failure in day order.
 pub fn run_store_generate(
     cfg: &PipelineConfig,
     store_dir: &Path,
 ) -> io::Result<(StoreSummary, Vec<StageRecord>)> {
-    let vfs = &cfg.vfs;
-    vfs.create_dir_all(store_dir)?;
-    // A killed predecessor may have left hidden atomic-write temporaries;
-    // clear them before this run creates its own.
-    if let Ok(swept) = sweep_orphan_temps(vfs, store_dir) {
-        if swept > 0 {
-            ndt_obs::incr_process("tmp_swept", swept as u64);
-        }
-    }
-    let fingerprint = config_fingerprint(&cfg.sim);
-    let sim_cfg: SimConfig = cfg.sim;
+    let store = UnitStore::open(cfg, store_dir.to_path_buf(), true)?;
+    let mut p = Pipeline::with_store(cfg.exec, store);
     let _gen_span = ndt_obs::span("stage.store-generate");
-
-    // Phase 1 (coordinator, day order): resume validation. Complete,
-    // checksum-clean shard pairs are kept; everything else is queued for
-    // the pool. Validating here — not in the workers — keeps the resumed
-    // event log in day order, identical to a sequential run's.
-    let shards = sim_cfg.shards(CORPUS_SHARD_DAYS);
-    let mut stems = Vec::with_capacity(shards.len());
-    let mut resumed = vec![false; shards.len()];
-    let mut pending: Vec<(usize, std::ops::Range<i64>, String, String)> = Vec::new();
-    for (i, range) in shards.iter().enumerate() {
-        let stem = shard_stem(range.start, range.end, fingerprint);
-        // Zero-padded day labels so span names in bench artifacts sort
-        // numerically (054 before 365), matching the shard stems.
-        let name = format!("store:{:03}-{:03}", range.start, range.end);
-        if cfg.resume && shard_is_complete(vfs, store_dir, &stem) {
-            ndt_obs::incr_process("store.shards_resumed", 1);
-            ndt_obs::info!("[runner] stage {name}: shard files validated, resumed");
-            resumed[i] = true;
-        } else {
-            pending.push((i, range.clone(), stem.clone(), name));
+    let mut stats = WriteStats::default();
+    let mut shards = Vec::new();
+    let plan = p.shards(&cfg.sim, |shard| {
+        if let Some(written) = &shard.written {
+            stats.merge(written);
         }
-        stems.push(stem);
-    }
-
-    // Phase 2: fan the pending shards across a bounded work-stealing pool.
-    // One thread budget, resolved once, split between the two parallelism
-    // layers: shard workers × per-shard simulation engines ≤ budget.
-    let budget = ndt_mlab::sim::resolve_threads(sim_cfg.threads);
-    let shard_workers = pending.len().min(budget).max(1);
-    let engines_per_shard = (budget / shard_workers).max(1);
-    ndt_obs::set_process("gen.thread_budget", budget as u64);
-    ndt_obs::set_process("gen.shard_workers", shard_workers as u64);
-    ndt_obs::set_process("gen.engines_per_shard", engines_per_shard as u64);
-    let worker_cfg = SimConfig { threads: engines_per_shard, ..sim_cfg };
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let writers_cap = (WRITERS_IN_FLIGHT / shard_workers).max(1);
-    let mut outcomes: Vec<(usize, io::Result<WriteStats>)> = Vec::new();
-
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..shard_workers {
-            let next = &next;
-            let pending = &pending;
-            handles.push(scope.spawn(move || {
-                shard_worker(cfg, store_dir, worker_cfg, next, pending, writers_cap)
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(mut results) => outcomes.append(&mut results),
-                // A worker that dies outside its per-shard catch_unwind
-                // (pool bookkeeping itself) still surfaces its payload.
-                Err(payload) => {
-                    let msg = crate::executor::panic_message(payload);
-                    outcomes.push((
-                        usize::MAX,
-                        Err(io::Error::other(format!("shard worker panicked: {msg}"))),
-                    ));
-                }
-            }
-        }
+        shards.push(shard.stem);
     });
-
-    // Phase 3 (coordinator, day order): merge the outcomes back in
-    // manifest order, so stats, records and the first-error contract are
-    // byte-identical to a sequential run.
-    let mut records = Vec::with_capacity(shards.len());
-    let mut total = WriteStats::default();
-    let mut by_index: std::collections::HashMap<usize, io::Result<WriteStats>> =
-        outcomes.into_iter().collect();
-    for (i, range) in shards.iter().enumerate() {
-        let name = format!("store:{:03}-{:03}", range.start, range.end);
-        if resumed[i] {
-            records.push(StageRecord { name, status: StageStatus::Resumed });
-            continue;
-        }
-        match by_index.remove(&i) {
-            Some(Ok(stats)) => {
-                total.merge(&stats);
-                ndt_obs::incr_process("store.shards_written", 1);
-                records.push(StageRecord { name, status: StageStatus::Computed });
-            }
-            Some(Err(e)) => return Err(e),
-            None => {
-                // Only reachable when a worker died before claiming this
-                // shard; the panic outcome above carries the real cause.
-                return Err(by_index
-                    .remove(&usize::MAX)
-                    .and_then(|r| r.err())
-                    .unwrap_or_else(|| io::Error::other(format!("shard {name} never ran"))));
-            }
-        }
-    }
-    if let Some(Err(e)) = by_index.remove(&usize::MAX) {
-        return Err(e);
-    }
-
-    // Deterministic ratio gauge: integer percent of raw-LE size. Only
-    // meaningful when this run actually wrote bytes.
-    if let Some(pct) = (total.bytes_file * 100).checked_div(total.bytes_raw) {
-        ndt_obs::set_gauge("store.encoded_pct_of_raw", pct);
-    }
-
+    ndt_obs::set_process("gen.thread_budget", plan.budget as u64);
+    ndt_obs::set_process("gen.shard_workers", plan.workers as u64);
+    ndt_obs::set_process("gen.engines_per_shard", plan.engines as u64);
+    p.fail_fast()?;
     // Second-country digest (asymmetric scenarios): country B's corpus is
     // generated, digested and persisted alongside the shards, so the
     // store read path can render the A/B table without ever re-running a
-    // simulation. With `--resume`, an existing digest that still parses
-    // is kept (it is a pure function of the config the fingerprint pins).
-    let mut digests = Vec::new();
-    if sim_cfg.scenario.spec().second_country.is_some() {
-        let path = store_dir.join(COUNTRY_DIGEST_FILE);
-        let resumable = cfg.resume
-            && vfs
-                .read_to_string(&path)
-                .is_ok_and(|t| CountryDigest::parse(&t).is_ok());
-        if resumable {
-            ndt_obs::incr_process("store.digest_resumed", 1);
-            ndt_obs::info!("[runner] stage country-b: digest validated, resumed");
-            records.push(StageRecord {
-                name: "country-b".to_string(),
-                status: StageStatus::Resumed,
-            });
-        } else {
-            let _span = ndt_obs::span("stage.country-b");
-            let digest = ndt_analysis::second_country_digest(&sim_cfg)
-                .map_err(|e| io::Error::other(e.to_string()))?
-                .ok_or_else(|| io::Error::other("scenario lost its second country"))?;
-            crate::atomic::write_atomic_with(vfs, &path, digest.to_text().as_bytes())?;
-            ndt_obs::incr_process("store.digest_written", 1);
-            records.push(StageRecord {
-                name: "country-b".to_string(),
-                status: StageStatus::Computed,
-            });
-        }
-        digests.push(COUNTRY_DIGEST_FILE.to_string());
-    }
-
+    // simulation.
+    p.second_country(&cfg.sim);
+    p.fail_fast()?;
     // Manifest last: readers only ever see a complete store.
-    let mut manifest = String::new();
-    manifest.push_str(MANIFEST_HEADER);
-    manifest.push('\n');
-    manifest.push_str(&format!("fingerprint {fingerprint:016x}\n"));
-    for stem in &stems {
-        manifest.push_str(&format!("shard {stem}\n"));
-    }
-    for name in &digests {
-        manifest.push_str(&format!("digest {name}\n"));
-    }
-    crate::atomic::write_atomic_with(vfs, store_dir.join(STORE_MANIFEST), manifest.as_bytes())?;
-
-    Ok((StoreSummary { dir: store_dir.to_path_buf(), stats: total, shards: stems }, records))
-}
-
-/// One pool worker: claims pending shards in day order from the shared
-/// cursor, simulates each with its own simulator (reused across the
-/// shards it claims — proven bit-identical to fresh-per-shard), and hands
-/// each finished dataset to a background writer thread so its next shard
-/// simulates while the previous one encodes. Panics in the simulation
-/// body are caught per shard and surfaced with their payload; the worker
-/// moves on to the next shard with a fresh simulator.
-fn shard_worker(
-    cfg: &PipelineConfig,
-    store_dir: &Path,
-    worker_cfg: SimConfig,
-    next: &std::sync::atomic::AtomicUsize,
-    pending: &[(usize, std::ops::Range<i64>, String, String)],
-    writers_cap: usize,
-) -> Vec<(usize, io::Result<WriteStats>)> {
-    let mut results = Vec::new();
-    // Eager, outside any span: every worker builds exactly one simulator,
-    // so the artifact's `topology.build` span count is a deterministic
-    // function of the worker count, not of the shard-claim race.
-    let mut sim = Simulator::new(worker_cfg);
-    let mut in_flight: Vec<(usize, thread::JoinHandle<io::Result<WriteStats>>)> = Vec::new();
-    let drain_one = |in_flight: &mut Vec<(usize, thread::JoinHandle<io::Result<WriteStats>>)>| {
-        let (idx, handle) = in_flight.remove(0);
-        let res = match handle.join() {
-            Ok(result) => result,
-            Err(payload) => Err(io::Error::other(format!(
-                "shard writer thread panicked: {}",
-                crate::executor::panic_message(payload)
-            ))),
-        };
-        (idx, res)
-    };
-    loop {
-        let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let Some((idx, range, stem, name)) = pending.get(j) else { break };
-        let part = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Shard spans open on the worker thread, whose span stack is
-            // otherwise empty — names and counts match a sequential run.
-            let _span = ndt_obs::span(&format!("stage.{name}"));
-            crate::pipeline::maybe_injected_panic(name);
-            sim.run_range(range.clone())
-        }));
-        let part = match part {
-            Ok(part) => part,
-            Err(payload) => {
-                results.push((
-                    *idx,
-                    Err(io::Error::other(format!(
-                        "stage {name} panicked: {}",
-                        crate::executor::panic_message(payload)
-                    ))),
-                ));
-                // The simulator unwound mid-run; its state is suspect.
-                sim = Simulator::new(worker_cfg);
-                continue;
-            }
-        };
-        if crate::pipeline::env_prefix_matches("UKRAINE_NDT_EXIT_AFTER", name) {
-            // Crash hook: commit this shard synchronously, then die — a
-            // deterministic kill mid-fan-out while sibling workers and
-            // writers are still in flight.
-            let _ = write_shard_files(cfg, store_dir, stem, &part);
-            crate::pipeline::maybe_exit_after(name);
-        }
-        let dir = store_dir.to_path_buf();
-        let wstem = stem.clone();
-        let wcfg = cfg.clone();
-        let handle =
-            thread::spawn(move || write_shard_files(&wcfg, &dir, &wstem, &part));
-        in_flight.push((*idx, handle));
-        if in_flight.len() >= writers_cap {
-            results.push(drain_one(&mut in_flight));
-        }
-    }
-    while !in_flight.is_empty() {
-        results.push(drain_one(&mut in_flight));
-    }
-    results
+    p.seal(&cfg.sim)?;
+    Ok((StoreSummary { dir: store_dir.to_path_buf(), stats, shards }, p.records))
 }
 
 /// Encodes and atomically commits one shard's file pair, with bounded
 /// transient-I/O retry. Retry jitter is keyed by the stem, so concurrent
 /// writers hitting the same transient stall back off on distinct
 /// schedules instead of retrying in lockstep.
-fn write_shard_files(
-    cfg: &PipelineConfig,
-    dir: &Path,
+pub(crate) fn write_shard_files(
+    store: &UnitStore,
     stem: &str,
     part: &ndt_mlab::schema::Dataset,
 ) -> io::Result<WriteStats> {
     let _span = ndt_obs::span("store.write");
-    let retry = cfg.exec.retry.with_jitter_key(wire::fnv1a64(stem.as_bytes()));
+    let retry = store.retry.with_jitter_key(wire::fnv1a64(stem.as_bytes()));
     retry_io(&retry, || {
         // Retry the whole pair: a failed attempt's temporaries are
         // discarded by AtomicFile, so re-running from scratch is
         // idempotent and the destination only ever sees a commit.
-        let unified = AtomicFile::create_with(&cfg.vfs, dir.join(unified_name(stem)))?;
+        let unified = AtomicFile::create_with(&store.vfs, store.dir.join(unified_name(stem)))?;
         let (unified, ustats) = write_unified(unified, &part.ndt).map_err(|e| e.into_io())?;
         unified.commit()?;
-        let traces = AtomicFile::create_with(&cfg.vfs, dir.join(traces_name(stem)))?;
+        let traces = AtomicFile::create_with(&store.vfs, store.dir.join(traces_name(stem)))?;
         let (traces, tstats) = write_traces(traces, &part.traces).map_err(|e| e.into_io())?;
         traces.commit()?;
         let mut stats = ustats;
         stats.merge(&tstats);
         Ok(stats)
     })
+}
+
+/// Writes the manifest — header, config fingerprint, every shard stem of
+/// `sim`'s corpus in day order, and the digest file when the scenario has
+/// a second country. Written last, over units that are all on disk.
+pub(crate) fn write_manifest(store: &UnitStore, sim: &SimConfig) -> io::Result<()> {
+    let fingerprint = config_fingerprint(sim);
+    let mut manifest = format!("{MANIFEST_HEADER}\nfingerprint {fingerprint:016x}\n");
+    for range in sim.shards(CORPUS_SHARD_DAYS) {
+        manifest.push_str(&format!("shard {}\n", shard_stem(range.start, range.end, fingerprint)));
+    }
+    if sim.scenario.spec().second_country.is_some() {
+        manifest.push_str(&format!("digest {COUNTRY_DIGEST_FILE}\n"));
+    }
+    let path = store.dir.join(STORE_MANIFEST);
+    let write = || crate::atomic::write_atomic_with(&store.vfs, &path, manifest.as_bytes());
+    retry_io(&store.retry, write)
 }
 
 /// A parsed store manifest: shard stems (day order) plus any auxiliary
@@ -513,7 +311,7 @@ impl ScanEngine {
 /// (unpublished — the caller publishes only successful pairs) and the
 /// wall time of the unified half (scan-throughput accounting).
 #[allow(clippy::type_complexity)]
-fn read_shard_pair(
+pub(crate) fn read_shard_pair(
     vfs: &VfsHandle,
     store_dir: &Path,
     stem: &str,
@@ -938,9 +736,9 @@ pub fn run_report_from_store_with(
     threads: usize,
 ) -> io::Result<PipelineOutcome> {
     let (data, quarantined) = load_study_data_with(vfs, store_dir, engine, threads)?;
-    // No checkpoint store: the shard files are the persistent form, and
+    // Nothing to save: the shard files are the persistent form, and
     // analyses over them are cheaper to re-run than to verify.
-    let mut p = Pipeline { store: None, resume: false, exec, records: Vec::new() };
+    let mut p = Pipeline::in_memory(exec);
     let outputs = p.analyses(Arc::new(data));
     // Quarantined shards are *data* degradation, not analysis failures:
     // they surface through the coverage machinery (missing day ranges in

@@ -17,8 +17,8 @@
 //! Layer map:
 //!
 //! * [`wire`] — little-endian primitives, varints, FNV-1a; the
-//!   workspace's single binary-encoding implementation (re-exported by
-//!   `ndt-mlab::codec` for the dataset codec and runner checkpoints);
+//!   workspace's single binary-encoding implementation (the runner's
+//!   config fingerprint and checkpoint sidecars use it too);
 //! * [`page`] — per-column encoded pages: delta+varint for `i64`,
 //!   dictionary-or-raw for unsigned integers, raw bit patterns for
 //!   `f64` (exact NaN round-trip), each payload FNV-1a checksummed under

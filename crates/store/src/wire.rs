@@ -1,11 +1,9 @@
 //! Little-endian wire primitives — the workspace's single binary-encoding
 //! implementation.
 //!
-//! This module started life as `ndt-mlab::codec::wire` and moved here when
-//! the columnar store landed, so the dataset codec, the runner's
-//! checkpoint container and the store's page encodings all share one
-//! bounds-checked [`Reader`], one set of `put_*` writers, one FNV-1a and
-//! one varint. `ndt-mlab::codec` re-exports it under the old path.
+//! The store's page encodings, the runner's config fingerprint and its
+//! checkpoint sidecar checksums all share one bounds-checked [`Reader`],
+//! one set of `put_*` writers, one FNV-1a and one varint.
 //!
 //! Two properties every consumer relies on:
 //!

@@ -52,7 +52,7 @@ pub struct MLabHost {
 }
 
 /// The constructed model plus the side tables the platform simulator needs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BuiltTopology {
     pub topology: Topology,
     /// Home oblast of each Ukrainian router that can suffer wartime

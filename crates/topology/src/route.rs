@@ -94,7 +94,7 @@ struct Candidate {
 }
 
 /// The routing engine with its per-version route cache.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RoutingEngine {
     config: RoutingConfig,
     cache: HashMap<(Asn, Asn, u64), Vec<Candidate>>,

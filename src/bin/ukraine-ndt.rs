@@ -59,13 +59,13 @@
 //! (coverage footers, exit code 3) instead of dying.
 //!
 //! Execution is staged and crash-safe (see the `ndt-runner` crate and
-//! `DESIGN.md`): `export`/`generate` checkpoint each completed stage under
-//! `<out>/.ukraine-ndt/`, every artifact is written atomically, and
-//! `--resume` (or the `resume` command, shorthand for `export --resume`)
-//! skips stages whose checkpoint matches the current configuration. A
-//! resumed run produces bit-identical artifacts. Stages that panic, hang,
-//! or fail are reported in the output and the process exits with code 3
-//! (partial success) instead of aborting.
+//! `DESIGN.md`): `export`/`generate` save each finished corpus shard to a
+//! columnar store under `<out>/.ukraine-ndt/`, every artifact is written
+//! atomically, and `--resume` (or the `resume` command, shorthand for
+//! `export --resume`) reads back every shard saved under the current
+//! configuration. A resumed run produces bit-identical artifacts. Stages
+//! that panic, hang, or fail are reported in the output and the process
+//! exits with code 3 (partial success) instead of aborting.
 
 use std::fs;
 use std::io::Write as _;

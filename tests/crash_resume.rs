@@ -36,6 +36,11 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// Whether the stderr log shows a corpus shard computed (not resumed).
+fn shard_computed(stderr: &str) -> bool {
+    stderr.lines().any(|l| l.contains("stage corpus:") && l.ends_with(": computed"))
+}
+
 /// Artifact files (not checkpoints) in `dir`, name → bytes.
 fn artifacts(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     fs::read_dir(dir)
@@ -75,16 +80,16 @@ fn killed_then_resumed_run_is_bit_identical_to_a_clean_run() {
     let clean = export(&clean_dir, &[], &[]);
     assert_eq!(clean.status.code(), Some(0), "stderr: {}", stderr(&clean));
 
-    // Crash mid-run, right after the fig3 stage checkpoints. Artifacts
-    // are written only at the end, so the crashed run leaves checkpoints
-    // but no artifacts — and crucially, nothing torn.
+    // Crash mid-run, right after the fig3 stage. Artifacts are written
+    // only at the end, so the crashed run leaves checkpoints but no
+    // artifacts — and crucially, nothing torn.
     let crashed = export(&crash_dir, &[], &[("UKRAINE_NDT_EXIT_AFTER", "fig3")]);
     assert_eq!(crashed.status.code(), Some(42), "simulated crash: {}", stderr(&crashed));
     assert!(stderr(&crashed).contains("simulated crash after stage fig3"));
     assert_no_torn_files(&crash_dir);
     assert!(
-        crash_dir.join(".ukraine-ndt").join("manifest.txt").exists(),
-        "completed stages checkpointed before the crash"
+        crash_dir.join(".ukraine-ndt").join("STORE.txt").exists(),
+        "the corpus was checkpointed as a sealed store before the crash"
     );
 
     // Resume. Everything computed before the crash is skipped, the rest
@@ -122,10 +127,10 @@ fn changing_config_invalidates_checkpoints() {
     let first = export(&d, &[], &[]);
     assert_eq!(first.status.code(), Some(0), "stderr: {}", stderr(&first));
 
-    // Same config resumes everything…
+    // Same config resumes every corpus shard (analyses always recompute)…
     let same = export(&d, &["--resume"], &[]);
     assert!(stderr(&same).contains("resumed from checkpoint"));
-    assert!(!stderr(&same).contains(": computed"), "nothing recomputes: {}", stderr(&same));
+    assert!(!shard_computed(&stderr(&same)), "no shard recomputes: {}", stderr(&same));
 
     // …but any knob change recomputes everything.
     for change in [
@@ -133,6 +138,10 @@ fn changing_config_invalidates_checkpoints() {
         vec!["--resume", "--scale", "0.011"],
         vec!["--resume", "--scenario", "no-war"],
         vec!["--resume", "--faults", "light"],
+        // The `country-b` digest has a fixed file name: a second seed must
+        // not resume the digest the first one saved.
+        vec!["--resume", "--scenario", "asymmetric"],
+        vec!["--resume", "--scenario", "asymmetric", "--seed", "78"],
     ] {
         let out = export(&d, &change, &[]);
         assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
@@ -172,12 +181,66 @@ fn a_panicking_stage_degrades_the_run_instead_of_aborting_it() {
         "count must track actual writes; stderr: {err}"
     );
 
-    // A resume without the fault hook completes the run: only the failed
-    // stage recomputes.
+    // A resume without the fault hook completes the run from the
+    // checkpointed corpus: no shard recomputes.
     let healed = export(&d, &["--resume"], &[]);
     assert_eq!(healed.status.code(), Some(0), "stderr: {}", stderr(&healed));
     assert!(stderr(&healed).contains("stage fig5: computed"));
-    assert!(stderr(&healed).contains("stage fig4: resumed from checkpoint"));
+    assert!(!shard_computed(&stderr(&healed)), "stderr: {}", stderr(&healed));
     assert!(artifacts(&d).contains_key("fig5_border_heatmap.txt"));
+    let _ = fs::remove_dir_all(&d);
+}
+
+#[test]
+fn a_panicking_shard_fails_the_corpus_and_a_resume_heals_it() {
+    let clean_dir = tmpdir("shard-panic-clean");
+    let d = tmpdir("shard-panic");
+    let clean = export(&clean_dir, &[], &[]);
+    assert_eq!(clean.status.code(), Some(0), "stderr: {}", stderr(&clean));
+
+    // Every corpus shard panics on the pool: the run still finishes,
+    // records the failed shards, skips the analyses, and exits 3.
+    let out = export(&d, &["--threads", "4"], &[("UKRAINE_NDT_PANIC_STAGE", "corpus:")]);
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("stage corpus:000-027: FAILED: panicked: injected panic"), "{err}");
+    assert!(err.contains("failed stage(s): corpus:000-027"), "{err}");
+    assert!(err.contains("stage fig2: FAILED: skipped: corpus incomplete"), "{err}");
+    let files = artifacts(&d);
+    assert!(!files.contains_key("fig4_city_counts.csv"), "no analysis ran");
+    assert_no_torn_files(&d);
+
+    // A resume without the hook simulates every shard and converges.
+    let healed = export(&d, &["--resume"], &[]);
+    assert_eq!(healed.status.code(), Some(0), "stderr: {}", stderr(&healed));
+    assert_no_torn_files(&d);
+    assert_eq!(artifacts(&clean_dir), artifacts(&d), "healed artifacts differ from a clean run");
+    let _ = fs::remove_dir_all(&clean_dir);
+    let _ = fs::remove_dir_all(&d);
+}
+
+#[test]
+fn a_kill_mid_corpus_resumes_byte_identically() {
+    let clean_dir = tmpdir("mid-corpus-clean");
+    let d = tmpdir("mid-corpus");
+    let clean = export(&clean_dir, &[], &[]);
+    assert_eq!(clean.status.code(), Some(0), "stderr: {}", stderr(&clean));
+
+    // The kill lands right after the first shard is saved, while sibling
+    // pool workers are still simulating and writing.
+    let killed = export(&d, &["--threads", "4"], &[("UKRAINE_NDT_EXIT_AFTER", "corpus:")]);
+    assert_eq!(killed.status.code(), Some(42), "stderr: {}", stderr(&killed));
+    assert!(stderr(&killed).contains("simulated crash after stage corpus:000-027"));
+
+    let resumed = export(&d, &["--threads", "4", "--resume"], &[]);
+    assert_eq!(resumed.status.code(), Some(0), "stderr: {}", stderr(&resumed));
+    assert!(
+        stderr(&resumed).contains("stage corpus:000-027: resumed from checkpoint"),
+        "stderr: {}",
+        stderr(&resumed)
+    );
+    assert_no_torn_files(&d);
+    assert_eq!(artifacts(&clean_dir), artifacts(&d), "resumed artifacts differ from a clean run");
+    let _ = fs::remove_dir_all(&clean_dir);
     let _ = fs::remove_dir_all(&d);
 }

@@ -169,3 +169,52 @@ fn zeroed_artifacts_from_repeat_runs_are_identical() {
     let _ = fs::remove_dir_all(&da);
     let _ = fs::remove_dir_all(&db);
 }
+
+/// Runs `subcmd` cleanly and as kill (`UKRAINE_NDT_EXIT_AFTER=kill_after`)
+/// → `--resume`, all with `extra` flags, and requires the resumed run's
+/// counters and gauges to equal the clean run's: every saved unit
+/// re-publishes the counters it recorded when it was computed.
+fn assert_kill_resume_counters_match(tag: &str, subcmd: &str, extra: &[&str], kill_after: &str) {
+    let clean_dir = tmpdir(&format!("{tag}-clean"));
+    let crash_dir = tmpdir(&format!("{tag}-crash"));
+    fs::create_dir_all(&clean_dir).expect("tmpdir");
+    fs::create_dir_all(&crash_dir).expect("tmpdir");
+    let m_clean = clean_dir.join("metrics.json");
+    let m_resumed = crash_dir.join("metrics.json");
+    let (m_clean_arg, m_resumed_arg) =
+        (m_clean.to_str().expect("utf8"), m_resumed.to_str().expect("utf8"));
+    // The stores are written into the out directories themselves.
+    let clean_args = [extra, &["--metrics", m_clean_arg]].concat();
+    let clean = run(subcmd, &clean_dir.join("out"), &clean_args, &[]);
+    assert_eq!(clean.status.code(), Some(0), "stderr: {}", stderr(&clean));
+    let crashed =
+        run(subcmd, &crash_dir.join("out"), extra, &[("UKRAINE_NDT_EXIT_AFTER", kill_after)]);
+    assert_eq!(crashed.status.code(), Some(42), "simulated crash: {}", stderr(&crashed));
+    let resume_args = [extra, &["--resume", "--metrics", m_resumed_arg]].concat();
+    let resumed = run(subcmd, &crash_dir.join("out"), &resume_args, &[]);
+    assert_eq!(resumed.status.code(), Some(0), "stderr: {}", stderr(&resumed));
+    assert!(stderr(&resumed).contains("resumed from checkpoint"), "stderr: {}", stderr(&resumed));
+
+    let clean_art = fs::read_to_string(&m_clean).expect("metrics written");
+    let resumed_art = fs::read_to_string(&m_resumed).expect("metrics written");
+    assert!(section(&clean_art, "counters").lines().count() > 2, "clean run counted nothing");
+    assert_eq!(section(&clean_art, "counters"), section(&resumed_art, "counters"), "{tag}");
+    assert_eq!(section(&clean_art, "gauges"), section(&resumed_art, "gauges"), "{tag}");
+    let _ = fs::remove_dir_all(&clean_dir);
+    let _ = fs::remove_dir_all(&crash_dir);
+}
+
+#[test]
+fn resumed_store_generation_reports_the_same_counters_as_a_clean_run() {
+    assert_kill_resume_counters_match(
+        "gen",
+        "generate",
+        &["--format", "columnar", "--threads", "4"],
+        "store:",
+    );
+}
+
+#[test]
+fn resumed_two_country_export_reports_the_same_counters_as_a_clean_run() {
+    assert_kill_resume_counters_match("asym", "export", &["--scenario", "asymmetric"], "country-b");
+}

@@ -418,6 +418,51 @@ fn cli_from_store_report_matches_cli_report() {
     let _ = std::fs::remove_dir_all(&d);
 }
 
+/// Runs `subcmd --out D` and requires `report --from-store D/.ukraine-ndt`
+/// to print exactly what `report` prints with the same `flags`.
+fn assert_checkpoint_directory_is_a_store(tag: &str, subcmd: &str, flags: &[&str]) {
+    let d = tmpdir(tag);
+    let out = d.join("out");
+    let out_arg = out.display().to_string();
+    let run = run_cli(&[&[subcmd, "--out", &out_arg], flags].concat());
+    assert_eq!(run.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&run.stderr));
+    let direct = run_cli(&[&["report"], flags].concat());
+    assert_eq!(direct.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&direct.stderr));
+
+    let ckpt = out.join(ukraine_ndt::runner::CHECKPOINT_DIR);
+    let from_ckpt = run_cli(&["report", "--from-store", &ckpt.display().to_string()]);
+    assert_eq!(
+        from_ckpt.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&from_ckpt.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&direct.stdout),
+        String::from_utf8_lossy(&from_ckpt.stdout),
+        "report over the checkpoint directory of {subcmd} must be byte-identical"
+    );
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+/// One corpus format: the checkpoint directory `export` leaves behind is a
+/// columnar store, and reporting from it prints exactly what `report`
+/// prints for the same seed and scale.
+#[test]
+fn export_checkpoint_directory_is_a_store() {
+    let flags = ["--scale", "0.01", "--seed", "7"];
+    assert_checkpoint_directory_is_a_store("ckpt-store", "export", &flags);
+}
+
+/// CSV `generate` of a two-country scenario saves the second country's
+/// digest beside its shards, so its checkpoint directory seals into a
+/// store that reports the A/B table too.
+#[test]
+fn two_country_generate_checkpoint_directory_is_a_store() {
+    let flags = ["--scale", "0.01", "--seed", "7", "--scenario", "asymmetric"];
+    assert_checkpoint_directory_is_a_store("ckpt-store-asym", "generate", &flags);
+}
+
 /// Reads one `"key": value` integer out of a metrics artifact's flat map
 /// sections (counters/gauges/process); missing keys read as 0.
 fn artifact_value(artifact: &str, key: &str) -> u64 {
