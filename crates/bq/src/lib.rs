@@ -37,7 +37,6 @@ pub mod error;
 pub mod query;
 pub mod table;
 pub mod value;
-pub mod vectorized;
 
 pub use error::BqError;
 pub use query::Query;

@@ -20,9 +20,9 @@ pub const NULL_CODE: u32 = u32::MAX;
 
 /// Dictionary-encoded string storage: one `u32` code per row pointing
 /// into a per-column dictionary of distinct strings ([`NULL_CODE`] marks
-/// nulls). This is the vectorized engine's native string layout — a store
-/// scan maps shard-level dictionary codes straight onto these codes and
-/// predicates compare integers instead of decoded strings.
+/// nulls). Batch ingest interns each distinct label once and appends
+/// codes, and query predicates compare integers instead of decoded
+/// strings.
 ///
 /// Dictionary order is an ingestion artifact (first appearance wins), so
 /// equality is *logical*: two dict columns are equal when they hold the
@@ -433,7 +433,7 @@ impl Table {
     }
 
     /// Mutable column storage by name — the batch-append entry point for
-    /// the vectorized ingest path.
+    /// the batch ingest path.
     ///
     /// Contract: after appending directly to columns, grow every column
     /// by the same amount and call [`Table::commit_batch`] before using
@@ -468,7 +468,7 @@ impl Table {
         Ok(appended)
     }
 
-    /// Drops every row past `len` — the vectorized loader's rollback for
+    /// Drops every row past `len` — the store loader's rollback for
     /// shard-pair atomicity (a pair that fails mid-decode must leave no
     /// partial rows behind).
     pub fn truncate(&mut self, len: usize) {

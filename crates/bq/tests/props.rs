@@ -1,10 +1,8 @@
 //! Property-based tests: the query algebra behaves like relational algebra,
-//! and the vectorized path is an exact refinement of it — code-level
-//! predicate evaluation matches decoded-string evaluation, and accumulator
-//! merges are shard-order invariant at the bit level.
+//! and dictionary-encoded columns answer every query as their plain twins
+//! do.
 
-use ndt_bq::vectorized::{AggSpec, AggState, BatchCol, ColumnarQuery, RowBatch};
-use ndt_bq::{ColType, Column, Table, Value};
+use ndt_bq::{ColType, Table, Value};
 use proptest::prelude::*;
 
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -179,7 +177,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized path: dict-code evaluation ≡ decoded-string evaluation
+// Dictionary encoding: dict-code evaluation ≡ decoded-string evaluation
 // ---------------------------------------------------------------------------
 
 /// Small closed vocabulary so generated columns hit repeated values,
@@ -236,105 +234,5 @@ proptest! {
             prop_assert_eq!(pq.indices(), dq.indices());
         }
         prop_assert_eq!(plain.query().distinct("s"), dict.query().distinct("s"));
-    }
-
-    /// The streaming plan over dictionary batches selects exactly the rows
-    /// the decoded-string batch selects, whatever the batch split.
-    #[test]
-    fn code_filter_equals_string_filter(
-        rows in word_rows(),
-        needle in 0usize..NEEDLES.len(),
-        split in 0usize..41,
-    ) {
-        let (plain, dict) = twin_tables(&rows);
-        let plan = ColumnarQuery::new()
-            .filter_str_eq("s", NEEDLES[needle])
-            .agg("v", AggSpec::Count)
-            .agg("v", AggSpec::Sum);
-
-        // Reference: decoded strings, one batch.
-        let mut st_ref = plan.start();
-        plan.feed(&mut st_ref, &RowBatch::from_table(&plain)).expect("feed plain");
-
-        // Candidate: dictionary codes, split into two batches at an
-        // arbitrary boundary (exercises per-batch needle resolution).
-        let mut st = plan.start();
-        let cut = split.min(rows.len());
-        let (Column::Dict(d), Column::Float(v)) = (dict.column("s"), dict.column("v"))
-        else { panic!("twin schema") };
-        for (lo, hi) in [(0, cut), (cut, rows.len())] {
-            let b = RowBatch::new(hi - lo)
-                .with("s", BatchCol::Dict { dict: d.dict(), codes: &d.codes()[lo..hi] })
-                .with("v", BatchCol::Float(&v[lo..hi]));
-            plan.feed(&mut st, &b).expect("feed dict");
-        }
-
-        prop_assert_eq!(st.rows_matched(), st_ref.rows_matched());
-        let (got, want) = (st.finish(), st_ref.finish());
-        prop_assert_eq!(got.len(), want.len());
-        for ((_, ga), (_, wa)) in got.iter().zip(&want) {
-            prop_assert_eq!(ga[0].to_bits(), wa[0].to_bits());
-            prop_assert_eq!(ga[1].to_bits(), wa[1].to_bits());
-        }
-    }
-
-    /// Merging per-shard accumulators is associative at the bit level:
-    /// left fold, right fold and a reversed fold over the same shards all
-    /// finish identically to a sequential scan. Values include NaN, -0.0
-    /// and magnitude spreads that defeat naive summation.
-    #[test]
-    fn accumulator_merge_is_shard_order_invariant(
-        raw in prop::collection::vec((0u8..6, -1.0e12f64..1.0e12), 1..60),
-        cuts in (1usize..20, 1usize..20),
-        which in 0usize..5,
-    ) {
-        let vals: Vec<f64> = raw
-            .iter()
-            .map(|&(kind, v)| match kind {
-                0 => f64::NAN,
-                1 => -0.0,
-                2 => 1.0e16,
-                3 => -1.0e16,
-                4 => v * 1.0e-10,
-                _ => v,
-            })
-            .collect();
-        let spec = [
-            AggSpec::Sum,
-            AggSpec::Mean,
-            AggSpec::Min,
-            AggSpec::Max,
-            AggSpec::Percentile(0.5),
-        ][which];
-
-        // Split into three shards at arbitrary boundaries.
-        let (a, b) = (cuts.0.min(vals.len()), cuts.1.min(vals.len()));
-        let (lo, hi) = (a.min(b), a.max(b));
-        let shards = [&vals[..lo], &vals[lo..hi], &vals[hi..]];
-        let state = |s: &[f64]| {
-            let mut acc = AggState::new(spec);
-            for &v in s {
-                acc.push(Some(v));
-            }
-            acc
-        };
-
-        let mut left = state(shards[0]);
-        left.merge(state(shards[1]));
-        left.merge(state(shards[2]));
-
-        let mut right_tail = state(shards[1]);
-        right_tail.merge(state(shards[2]));
-        let mut right = state(shards[0]);
-        right.merge(right_tail);
-
-        let mut rev = state(shards[2]);
-        rev.merge(state(shards[1]));
-        rev.merge(state(shards[0]));
-
-        let sequential = state(&vals);
-        prop_assert_eq!(left.finish().to_bits(), sequential.finish().to_bits());
-        prop_assert_eq!(right.finish().to_bits(), sequential.finish().to_bits());
-        prop_assert_eq!(rev.finish().to_bits(), sequential.finish().to_bits());
     }
 }

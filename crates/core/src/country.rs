@@ -11,13 +11,16 @@
 //!
 //! The digest's text form round-trips `f64`s through their bit patterns,
 //! so a digest written by `generate --format columnar` and re-read by
-//! `report --from-store` reproduces the table byte-for-byte.
+//! `report --from-store` reproduces the table byte-for-byte. It closes
+//! with an FNV-1a checksum line, so a damaged or edited digest is
+//! rejected instead of rendered.
 
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
 use ndt_conflict::Period;
 use ndt_mlab::sim::Scenario;
 use ndt_mlab::SimConfig;
+use ndt_store::wire::fnv1a64;
 use serde::Serialize;
 
 /// One study period's aggregate metrics for one country.
@@ -42,7 +45,7 @@ pub struct CountryDigest {
 }
 
 /// Magic first line of the digest's text form.
-const DIGEST_MAGIC: &str = "country-digest v1";
+const DIGEST_MAGIC: &str = "country-digest v2";
 
 impl CountryDigest {
     /// Digests a corpus: per-period test counts and metric means.
@@ -63,8 +66,9 @@ impl CountryDigest {
         Self { name: name.to_string(), periods }
     }
 
-    /// Text form: a magic line, the country name, then one line per
-    /// period with the `f64`s as bit patterns (lossless round-trip).
+    /// Text form: a magic line, the country name, one line per period
+    /// with the `f64`s as bit patterns (lossless round-trip), then a
+    /// `checksum` line over everything before it.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(DIGEST_MAGIC);
@@ -81,12 +85,23 @@ impl CountryDigest {
                 s.mean_loss.to_bits()
             ));
         }
+        out.push_str(&checksum_line(&out));
+        out.push('\n');
         out
     }
 
-    /// Parses [`Self::to_text`] output.
+    /// Parses [`Self::to_text`] output, rejecting a missing or wrong
+    /// checksum and periods out of [`Period::ALL`] order.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
+        let (body, sum) = text
+            .strip_suffix('\n')
+            .and_then(|t| t.rsplit_once('\n'))
+            .ok_or("missing checksum line")?;
+        let body = &text[..body.len() + 1];
+        if sum != checksum_line(body) {
+            return Err(format!("checksum mismatch ('{sum}')"));
+        }
+        let mut lines = body.lines();
         if lines.next() != Some(DIGEST_MAGIC) {
             return Err(format!("not a country digest (missing '{DIGEST_MAGIC}' header)"));
         }
@@ -103,6 +118,9 @@ impl CountryDigest {
             }
             let idx: usize =
                 parts[1].parse().map_err(|_| format!("bad period index '{}'", parts[1]))?;
+            if idx != periods.len() {
+                return Err(format!("period index {idx} out of order"));
+            }
             let period = *Period::ALL
                 .get(idx)
                 .ok_or_else(|| format!("period index {idx} out of range"))?;
@@ -134,6 +152,11 @@ impl CountryDigest {
     fn stats(&self, p: Period) -> &PeriodStats {
         &self.periods[Period::ALL.iter().position(|q| *q == p).expect("period in ALL")]
     }
+}
+
+/// The closing line of a digest whose preceding text is `body`.
+fn checksum_line(body: &str) -> String {
+    format!("checksum {:016x}", fnv1a64(body.as_bytes()))
 }
 
 /// Formats a war/prewar ratio, "-" when the baseline is unusable.
@@ -212,6 +235,7 @@ pub fn second_country_digest(cfg: &SimConfig) -> Result<Option<CountryDigest>, A
 mod tests {
     use super::*;
     use crate::dataset::test_support::shared_small;
+    use proptest::prelude::*;
 
     #[test]
     fn digest_text_roundtrips_bit_exactly() {
@@ -221,12 +245,66 @@ mod tests {
         assert_eq!(d.to_text(), back.to_text());
     }
 
+    /// Seals `body` as [`CountryDigest::to_text`] does, so the cases
+    /// below reach the line checks behind the checksum.
+    fn sealed(body: &str) -> String {
+        format!("{body}{}\n", checksum_line(body))
+    }
+
     #[test]
     fn parse_rejects_malformed_digests() {
         assert!(CountryDigest::parse("nope").is_err());
-        assert!(CountryDigest::parse("country-digest v1\nname x\n").is_err(), "missing periods");
-        assert!(CountryDigest::parse("country-digest v1\nname x\nperiod 9 1 0 0 0\n").is_err());
-        assert!(CountryDigest::parse("country-digest v1\nname x\nperiod 0 1 zz 0 0\n").is_err());
+        assert!(CountryDigest::parse(&sealed("country-digest v2\nname x\n")).is_err(), "no periods");
+        assert!(CountryDigest::parse(&sealed("country-digest v2\nname x\nperiod 9 1 0 0 0\n")).is_err());
+        assert!(CountryDigest::parse(&sealed("country-digest v2\nname x\nperiod 0 1 zz 0 0\n")).is_err());
+        let v1 = shared_digest().to_text().replace("country-digest v2", "country-digest v1");
+        assert!(CountryDigest::parse(&v1).is_err(), "v1 digests carry no checksum");
+        let text = shared_digest().to_text();
+        let unsealed = &text[..text.rfind("checksum ").expect("checksum line")];
+        assert!(CountryDigest::parse(unsealed).is_err(), "missing checksum");
+        // Magic, name, then periods 0..=3: swap the last two.
+        let mut lines: Vec<&str> = unsealed.lines().collect();
+        lines.swap(4, 5);
+        let reordered = sealed(&format!("{}\n", lines.join("\n")));
+        assert!(CountryDigest::parse(&reordered).is_err(), "periods out of order");
+    }
+
+    fn shared_digest() -> CountryDigest {
+        CountryDigest::from_study("ukraine", shared_small())
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_is_rejected() {
+        let text = shared_digest().to_text();
+        assert!(CountryDigest::parse(&text).is_ok());
+        for at in 0..text.len() {
+            for bit in 0..8 {
+                let mut bytes = text.clone().into_bytes();
+                bytes[at] ^= 1 << bit;
+                if let Ok(flipped) = String::from_utf8(bytes) {
+                    assert!(CountryDigest::parse(&flipped).is_err(), "flip {bit} at {at} accepted");
+                }
+            }
+            assert!(CountryDigest::parse(&text[..at]).is_err(), "truncation at {at} accepted");
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bytes — alone, or spliced into a digest body sealed
+        /// afterwards so they reach the line parser — return a result,
+        /// never a panic.
+        #[test]
+        fn parse_never_panics(
+            bytes in prop::collection::vec(0u8..=255, 0..300),
+            at in 0usize..400,
+        ) {
+            let garbage = String::from_utf8_lossy(&bytes);
+            let _ = CountryDigest::parse(&garbage);
+            let text = shared_digest().to_text();
+            let body = &text[..text.rfind("checksum ").expect("checksum line")];
+            let at = at.min(body.len());
+            let _ = CountryDigest::parse(&sealed(&format!("{}{garbage}{}", &body[..at], &body[at..])));
+        }
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Dataset wrapper: the two "BigQuery tables" plus period helpers.
 
+use std::collections::BTreeSet;
+use std::io;
+
 use ndt_bq::{Query, Table, Value};
 use ndt_conflict::Period;
-use ndt_mlab::schema::{empty_unified_table, push_unified_row};
+use ndt_mlab::columnar::{push_unified_batch, UnifiedBatch};
+use ndt_mlab::schema::empty_unified_table;
 use ndt_mlab::{Dataset, Scamper1Row, SimConfig, Simulator, UnifiedDownloadRow};
+use ndt_store::DEFAULT_GROUP_ROWS;
 
 /// The generated corpus, ready for analysis.
 pub struct StudyData {
@@ -29,14 +34,7 @@ pub struct StudyData {
 /// Day ranges of each [`Period`] window that hold no unified rows, for
 /// windows that hold at least one. See [`StudyData::day_gaps`].
 fn compute_day_gaps(unified: &Table) -> Vec<(i64, i64)> {
-    let days: std::collections::BTreeSet<i64> = unified.query().ints("day").into_iter().collect();
-    compute_day_gaps_from(&days)
-}
-
-/// [`compute_day_gaps`] over an already-collected distinct-day set (the
-/// vectorized store loader aggregates days page-by-page instead of
-/// re-scanning the finished table).
-fn compute_day_gaps_from(days: &std::collections::BTreeSet<i64>) -> Vec<(i64, i64)> {
+    let days: BTreeSet<i64> = unified.query().ints("day").into_iter().collect();
     let mut gaps = Vec::new();
     for p in Period::ALL {
         let (s, e) = p.day_range();
@@ -66,11 +64,12 @@ impl StudyData {
         Self::from_dataset(raw)
     }
 
-    /// Wraps an already-generated dataset.
+    /// Wraps an already-generated dataset, keeping its rows in `raw`. The
+    /// table is built by [`StudyDataBuilder`], as every corpus's is.
     pub fn from_dataset(raw: Dataset) -> Self {
-        let unified = raw.unified_table();
-        let day_gaps = compute_day_gaps(&unified);
-        Self { raw, unified, day_gaps, second_country: None }
+        let mut b = StudyDataBuilder::new();
+        b.push_rows(&raw.ndt).expect("a dataset's rows transpose into valid unified batches");
+        Self { raw, ..b.finish() }
     }
 
     /// Unified rows within a period.
@@ -101,19 +100,16 @@ impl StudyData {
     }
 }
 
-/// Incremental [`StudyData`] construction for callers that stream the
-/// corpus in pieces (the columnar store's `report --from-store` path)
-/// instead of handing over one [`Dataset`].
-///
-/// Rows are ingested into the unified table as they arrive, in arrival
-/// order, through the same `push_unified_row` the batch path uses — so a
-/// builder fed the corpus shard-by-shard produces a [`StudyData`] whose
-/// table is cell-for-cell identical to `StudyData::from_dataset` on the
-/// concatenated dataset.
+/// The one way a [`StudyData`] is built: the corpus arrives in pieces —
+/// whole shards from the shard pool ([`Self::push_shard`]), or decoded
+/// store batches ([`Self::push_unified_batch`], [`Self::push_trace_rows`])
+/// — and every unified row enters the table as part of a columnar batch.
+/// The builder keeps no unified row structs, so `raw.ndt` of the finished
+/// [`StudyData`] is empty; its traces are every trace pushed, in order.
 #[derive(Default)]
 pub struct StudyDataBuilder {
-    raw: Dataset,
     unified: Option<Table>,
+    traces: Vec<Scamper1Row>,
 }
 
 /// A consistent builder position, taken with [`StudyDataBuilder::mark`]
@@ -123,7 +119,6 @@ pub struct StudyDataBuilder {
 #[derive(Debug, Clone, Copy)]
 pub struct BuilderMark {
     unified_rows: usize,
-    ndt_rows: usize,
     trace_rows: usize,
 }
 
@@ -133,79 +128,65 @@ impl StudyDataBuilder {
         Self::default()
     }
 
-    /// Appends unified rows (ingesting them into the table immediately).
-    pub fn push_ndt_rows(&mut self, rows: Vec<UnifiedDownloadRow>) {
-        let table = self.unified.get_or_insert_with(empty_unified_table);
-        for r in &rows {
-            push_unified_row(table, r);
-        }
-        self.raw.ndt.extend(rows);
+    /// Ingests one corpus shard: its unified rows are transposed into
+    /// [`DEFAULT_GROUP_ROWS`]-row batches for [`Self::push_unified_batch`]
+    /// and dropped, and its traces move in. On error the shard may be
+    /// partly ingested; [`Self::mark`] first if that matters.
+    pub fn push_shard(&mut self, shard: Dataset) -> io::Result<()> {
+        self.push_rows(&shard.ndt)?;
+        self.push_trace_rows(shard.traces);
+        Ok(())
     }
 
-    /// Ingests one columnar batch straight into the unified table —
-    /// cell-for-cell what [`Self::push_ndt_rows`] on the same rows would
-    /// produce, but without materializing a single `UnifiedDownloadRow`:
-    /// `raw.ndt` stays empty, so the vectorized store loader's resident
-    /// row footprint is the in-flight batch window, not the corpus.
-    pub fn push_unified_batch(
-        &mut self,
-        batch: &ndt_mlab::columnar::UnifiedBatch,
-    ) -> std::io::Result<()> {
+    fn push_rows(&mut self, rows: &[UnifiedDownloadRow]) -> io::Result<()> {
+        rows.chunks(DEFAULT_GROUP_ROWS)
+            .try_for_each(|chunk| self.push_unified_batch(&UnifiedBatch::from_rows(chunk)))
+    }
+
+    /// Ingests one columnar batch straight into the unified table, cell
+    /// for cell what `ndt_mlab::schema::push_unified_row` would produce
+    /// for the same rows.
+    pub fn push_unified_batch(&mut self, batch: &UnifiedBatch) -> io::Result<()> {
         let table = self.unified.get_or_insert_with(empty_unified_table);
-        ndt_mlab::columnar::push_unified_batch(table, batch).map_err(|e| e.into_io())
+        push_unified_batch(table, batch).map_err(|e| e.into_io())
     }
 
     /// Appends scamper trace rows.
     pub fn push_trace_rows(&mut self, rows: Vec<Scamper1Row>) {
-        self.raw.traces.extend(rows);
+        self.traces.extend(rows);
     }
 
-    /// Unified rows ingested so far (row-wise and batch-wise combined).
+    /// Unified rows ingested so far.
     pub fn unified_rows(&self) -> usize {
         self.unified.as_ref().map_or(0, Table::len)
     }
 
     /// Current position, for a later [`Self::rollback`].
     pub fn mark(&self) -> BuilderMark {
-        BuilderMark {
-            unified_rows: self.unified_rows(),
-            ndt_rows: self.raw.ndt.len(),
-            trace_rows: self.raw.traces.len(),
-        }
+        BuilderMark { unified_rows: self.unified_rows(), trace_rows: self.traces.len() }
     }
 
-    /// Discards everything ingested after `mark` (table rows, raw rows,
-    /// trace rows). Dictionary entries interned by discarded rows may
-    /// linger in the table's dictionaries; they are unreferenced, and
-    /// every value-level accessor and comparison is row-driven, so they
-    /// are unobservable.
+    /// Discards everything ingested after `mark` (table rows and trace
+    /// rows). Dictionary entries interned by discarded rows may linger in
+    /// the table's dictionaries; they are unreferenced, and every
+    /// value-level accessor and comparison is row-driven, so they are
+    /// unobservable.
     pub fn rollback(&mut self, mark: BuilderMark) {
         if let Some(table) = self.unified.as_mut() {
             table.truncate(mark.unified_rows);
         }
-        self.raw.ndt.truncate(mark.ndt_rows);
-        self.raw.traces.truncate(mark.trace_rows);
+        self.traces.truncate(mark.trace_rows);
     }
 
-    /// Finalizes into a [`StudyData`]. Day gaps are computed from the
-    /// ingested table by the same rule as [`StudyData::from_dataset`], so
-    /// a builder fed only surviving shards reports exactly the gaps a
-    /// batch run over the same rows would.
+    /// Finalizes into a [`StudyData`]. Day gaps are read off the finished
+    /// table's `day` column, so only committed rows count: a rolled-back
+    /// shard's days leave with its rows, and a builder fed only surviving
+    /// shards reports exactly the gaps a run over the same rows would.
     pub fn finish(self) -> StudyData {
         let unified = self.unified.unwrap_or_else(empty_unified_table);
         let day_gaps = compute_day_gaps(&unified);
-        StudyData { raw: self.raw, unified, day_gaps, second_country: None }
-    }
-
-    /// [`Self::finish`] with the distinct-day set already in hand (the
-    /// vectorized loader folds it out of a page-fed day aggregation, so
-    /// the finished table never needs a full `day` re-scan). The set must
-    /// cover exactly the ingested rows' days — gap computation is the
-    /// same rule either way.
-    pub fn finish_with_days(self, days: &std::collections::BTreeSet<i64>) -> StudyData {
-        let unified = self.unified.unwrap_or_else(empty_unified_table);
-        let day_gaps = compute_day_gaps_from(days);
-        StudyData { raw: self.raw, unified, day_gaps, second_country: None }
+        let raw = Dataset { ndt: Vec::new(), traces: self.traces };
+        StudyData { raw, unified, day_gaps, second_country: None }
     }
 }
 
@@ -242,15 +223,21 @@ mod tests {
         // been quarantined.
         let lost = |d: i64| (20..25).contains(&d) || (54..60).contains(&d);
         let mut b = StudyDataBuilder::new();
-        b.push_ndt_rows(full.raw.ndt.iter().filter(|r| !lost(r.day)).cloned().collect());
-        b.push_trace_rows(full.raw.traces.iter().filter(|r| !lost(r.day)).cloned().collect());
+        b.push_shard(Dataset {
+            ndt: full.raw.ndt.iter().filter(|r| !lost(r.day)).cloned().collect(),
+            traces: full.raw.traces.iter().filter(|r| !lost(r.day)).cloned().collect(),
+        })
+        .expect("ingests");
         let degraded = b.finish();
         assert_eq!(degraded.day_gaps, vec![(20, 24), (54, 59)]);
         // And a window with no rows at all is "not simulated", not a gap.
         let mut empty_window = StudyDataBuilder::new();
-        empty_window.push_ndt_rows(
-            full.raw.ndt.iter().filter(|r| r.day >= 365).cloned().collect(),
-        );
+        empty_window
+            .push_shard(Dataset {
+                ndt: full.raw.ndt.iter().filter(|r| r.day >= 365).cloned().collect(),
+                traces: Vec::new(),
+            })
+            .expect("ingests");
         assert_eq!(empty_window.finish().day_gaps, Vec::<(i64, i64)>::new());
     }
 

@@ -19,25 +19,22 @@
 //! decoding, so callers get precisely the rows they asked for while
 //! whole non-matching groups are never read off disk.
 //!
-//! Two read shapes share one scan ([`scan_unified_batches`]):
-//!
-//! * **row-wise** ([`scan_unified`], [`scan_traces`]) — materializes
-//!   typed row structs; the original, O(rows) shape;
-//! * **columnar** ([`UnifiedBatch`] via [`scan_unified_batches`]) — hands
-//!   each validated group to a sink as owned column vectors, no per-row
-//!   structs and no string materialization; the vectorized report path
-//!   ingests these with [`push_unified_batch`] and never holds more than
-//!   a bounded window of decoded groups.
+//! [`UnifiedBatch`] is the one columnar form of unified rows: the writer
+//! encodes each group from [`UnifiedBatch::from_rows`],
+//! [`scan_unified_batches`] hands each validated group back as one (owned
+//! column vectors, no per-row structs, no string materialization), and
+//! [`push_unified_batch`] ingests it into the analysis table. The
+//! row-wise readers ([`scan_unified`], [`scan_traces`]) materialize typed
+//! row structs from the same scan.
 //!
 //! Writes and scans *return* their [`WriteStats`] /
 //! [`ndt_store::ScanStats`] and leave publishing to the caller — exactly
 //! once per committed shard ([`write_stats_tally`]) or successful scan
 //! ([`publish_scan_stats`]), in a deterministic order — so a retried
-//! write counts once, the materialized and vectorized engines report
-//! identical counter values, and a failed (quarantined) shard
-//! contributes nothing. Byte and row counts are pure functions of the
-//! corpus, so they fall under the counter determinism contract;
-//! wall-clock timing stays in span land.
+//! write counts once, counter values do not depend on the decode thread
+//! budget, and a failed (quarantined) shard contributes nothing. Byte and
+//! row counts are pure functions of the corpus, so they fall under the
+//! counter determinism contract; wall-clock timing stays in span land.
 
 use crate::schema::{Scamper1Row, UnifiedDownloadRow};
 use ndt_geo::{CityId, Oblast};
@@ -122,8 +119,8 @@ pub fn write_stats_tally(stats: &WriteStats) -> ndt_obs::Tally {
 
 /// Publishes one scan's counters into `ndt-obs`. Callers invoke this
 /// exactly once per *successful* scan (the runner does so per surviving
-/// shard pair, in manifest order): both report engines then publish
-/// identical values, and a quarantined shard contributes nothing.
+/// shard pair, in manifest order), so a quarantined shard contributes
+/// nothing.
 pub fn publish_scan_stats(stats: &ndt_store::ScanStats) {
     ndt_obs::incr("store.groups_scanned", stats.groups_scanned);
     ndt_obs::incr("store.groups_skipped", stats.groups_skipped);
@@ -139,36 +136,17 @@ pub fn publish_scan_stats(stats: &ndt_store::ScanStats) {
 pub fn write_unified<W: Write>(out: W, rows: &[UnifiedDownloadRow]) -> Result<(W, WriteStats), StoreError> {
     let mut w = ShardWriter::new(out, unified_schema()?)?;
     for chunk in chunks_or_one(rows) {
-        let mut day = Vec::with_capacity(chunk.len());
-        let mut client_ip = Vec::with_capacity(chunk.len());
-        let mut server_ip = Vec::with_capacity(chunk.len());
-        let mut client_asn = Vec::with_capacity(chunk.len());
-        let mut oblast = Vec::with_capacity(chunk.len());
-        let mut city = Vec::with_capacity(chunk.len());
-        let mut tput = Vec::with_capacity(chunk.len());
-        let mut min_rtt = Vec::with_capacity(chunk.len());
-        let mut loss = Vec::with_capacity(chunk.len());
-        for r in chunk {
-            day.push(r.day);
-            client_ip.push(r.client_ip.0);
-            server_ip.push(r.server_ip.0);
-            client_asn.push(r.client_asn.0);
-            oblast.push(r.oblast.map_or(OBLAST_NONE, |o| oblast_index(o) as u32));
-            city.push(r.city.map_or(CITY_NONE, |c| c.0 as u32));
-            tput.push(r.mean_tput_mbps);
-            min_rtt.push(r.min_rtt_ms);
-            loss.push(r.loss_rate);
-        }
+        let b = UnifiedBatch::from_rows(chunk);
         w.write_group(&[
-            ColumnData::I64(day),
-            ColumnData::U32(client_ip),
-            ColumnData::U32(server_ip),
-            ColumnData::U32(client_asn),
-            ColumnData::U32(oblast),
-            ColumnData::U32(city),
-            ColumnData::F64(tput),
-            ColumnData::F64(min_rtt),
-            ColumnData::F64(loss),
+            ColumnData::I64(b.day),
+            ColumnData::U32(b.client_ip),
+            ColumnData::U32(b.server_ip),
+            ColumnData::U32(b.client_asn),
+            ColumnData::U32(b.oblast),
+            ColumnData::U32(b.city),
+            ColumnData::F64(b.tput),
+            ColumnData::F64(b.min_rtt),
+            ColumnData::F64(b.loss),
         ])?;
     }
     w.finish()
@@ -304,53 +282,6 @@ fn max_city_id() -> u32 {
     (ndt_geo::city::all_cities().count() as u32).saturating_sub(1)
 }
 
-/// Decodes one fully-projected batch of the `unified` schema into rows.
-pub fn decode_unified_batch(batch: &Batch) -> Result<Vec<UnifiedDownloadRow>, StoreError> {
-    let day = col_i64(batch, 0, "day")?;
-    let client_ip = col_u32(batch, 1, "client_ip")?;
-    let server_ip = col_u32(batch, 2, "server_ip")?;
-    let client_asn = col_u32(batch, 3, "client_asn")?;
-    let oblast = col_u32(batch, 4, "oblast")?;
-    let city = col_u32(batch, 5, "city")?;
-    let tput = col_f64(batch, 6, "tput")?;
-    let min_rtt = col_f64(batch, 7, "min_rtt")?;
-    let loss = col_f64(batch, 8, "loss")?;
-    let n = batch.rows as usize;
-    for (name, len) in [
-        ("client_ip", client_ip.len()),
-        ("server_ip", server_ip.len()),
-        ("client_asn", client_asn.len()),
-        ("oblast", oblast.len()),
-        ("city", city.len()),
-        ("tput", tput.len()),
-        ("min_rtt", min_rtt.len()),
-        ("loss", loss.len()),
-        ("day", day.len()),
-    ] {
-        if len != n {
-            return Err(StoreError::Schema(format!(
-                "column {name} has {len} rows, batch declares {n}"
-            )));
-        }
-    }
-    let max_city = max_city_id();
-    let mut rows = Vec::with_capacity(n);
-    for i in 0..n {
-        rows.push(UnifiedDownloadRow {
-            day: day[i],
-            client_ip: Ipv4Addr(client_ip[i]),
-            server_ip: Ipv4Addr(server_ip[i]),
-            client_asn: Asn(client_asn[i]),
-            oblast: decode_oblast(oblast[i])?,
-            city: decode_city(city[i], max_city)?,
-            mean_tput_mbps: tput[i],
-            min_rtt_ms: min_rtt[i],
-            loss_rate: loss[i],
-        });
-    }
-    Ok(rows)
-}
-
 /// Decodes one fully-projected batch of the `traces` schema into rows.
 pub fn decode_traces_batch(batch: &Batch) -> Result<Vec<Scamper1Row>, StoreError> {
     let day = col_i64(batch, 0, "day")?;
@@ -458,17 +389,19 @@ impl RowFilter {
     }
 }
 
-/// One validated, filtered group of unified rows in columnar form — the
-/// vectorized loader's unit of transfer. Column vectors are owned (moved
-/// straight out of the page decoder), there are no per-row structs, and
-/// the categoricals stay as their store codes: no string materializes
-/// until table ingestion interns each *distinct* label once.
+/// One validated group of unified rows in columnar form — the unit every
+/// ingest path hands to [`push_unified_batch`]. Column vectors are owned
+/// (moved straight out of the page decoder, or transposed by
+/// [`UnifiedBatch::from_rows`]), there are no per-row structs, and the
+/// categoricals stay as their store codes: no string materializes until
+/// table ingestion interns each *distinct* label once.
 ///
 /// Invariants (enforced by [`scan_unified_batches`] before the batch is
-/// handed out): all nine vectors have equal length, every `oblast` value
-/// is [`OBLAST_NONE`] or a valid oblast index, every `city` value is
-/// [`CITY_NONE`] or a valid city id, and every row matches the scan's
-/// [`RowFilter`].
+/// handed out, and by construction in [`UnifiedBatch::from_rows`]): all
+/// nine vectors have equal length, every `oblast` value is
+/// [`OBLAST_NONE`] or a valid oblast index, every `city` value is
+/// [`CITY_NONE`] or a valid city id, and a scanned batch's rows all match
+/// the scan's [`RowFilter`].
 #[derive(Debug, Clone, Default)]
 pub struct UnifiedBatch {
     pub day: Vec<i64>,
@@ -493,6 +426,34 @@ impl UnifiedBatch {
     /// True when the batch holds no rows.
     pub fn is_empty(&self) -> bool {
         self.day.is_empty()
+    }
+
+    /// Transposes row structs into one batch — the form the shard writer
+    /// encodes and [`push_unified_batch`] ingests.
+    pub fn from_rows(rows: &[UnifiedDownloadRow]) -> Self {
+        let mut b = UnifiedBatch {
+            day: Vec::with_capacity(rows.len()),
+            client_ip: Vec::with_capacity(rows.len()),
+            server_ip: Vec::with_capacity(rows.len()),
+            client_asn: Vec::with_capacity(rows.len()),
+            oblast: Vec::with_capacity(rows.len()),
+            city: Vec::with_capacity(rows.len()),
+            tput: Vec::with_capacity(rows.len()),
+            min_rtt: Vec::with_capacity(rows.len()),
+            loss: Vec::with_capacity(rows.len()),
+        };
+        for r in rows {
+            b.day.push(r.day);
+            b.client_ip.push(r.client_ip.0);
+            b.server_ip.push(r.server_ip.0);
+            b.client_asn.push(r.client_asn.0);
+            b.oblast.push(r.oblast.map_or(OBLAST_NONE, |o| oblast_index(o) as u32));
+            b.city.push(r.city.map_or(CITY_NONE, |c| c.0 as u32));
+            b.tput.push(r.mean_tput_mbps);
+            b.min_rtt.push(r.min_rtt_ms);
+            b.loss.push(r.loss_rate);
+        }
+        b
     }
 
     /// Materializes the batch as row structs (the row-wise readers are
@@ -554,10 +515,9 @@ fn compact<T: Copy>(v: &mut Vec<T>, keep: &[u32]) {
 /// Returns the scan's stats **without publishing them** — the caller
 /// decides if and when (see [`publish_scan_stats`]).
 ///
-/// Validation is identical to [`decode_unified_batch`]: every row of a
-/// surviving group is checked (oblast index, city id) before filtering,
-/// so a corrupt value quarantines the shard no matter which rows a
-/// filter would keep.
+/// Every row of a surviving group is validated (oblast index, city id)
+/// before filtering, so a corrupt value quarantines the shard no matter
+/// which rows a filter would keep.
 pub fn scan_unified_batches(
     shard: &Shard,
     filter: RowFilter,
@@ -604,8 +564,7 @@ pub fn scan_unified_batches(
                 )));
             }
         }
-        // Validate every row of the surviving group (exactly what the
-        // row decoder does), then filter.
+        // Validate every row of the surviving group, then filter.
         keep.clear();
         for i in 0..n {
             let oblast = decode_oblast(b.oblast[i])?;
@@ -827,31 +786,37 @@ mod tests {
         write_unified(std::io::BufWriter::new(file), &ds.ndt).expect("writes");
         let shard = Shard::open(&path).expect("opens");
 
-        let mut batched = crate::schema::empty_unified_table();
+        let mut scanned = crate::schema::empty_unified_table();
         scan_unified_batches(&shard, RowFilter::default(), |b| {
-            push_unified_batch(&mut batched, &b).expect("ingests");
+            push_unified_batch(&mut scanned, &b).expect("ingests");
         })
         .expect("scans");
+        let mut transposed = crate::schema::empty_unified_table();
+        for chunk in ds.ndt.chunks(DEFAULT_GROUP_ROWS) {
+            push_unified_batch(&mut transposed, &UnifiedBatch::from_rows(chunk)).expect("ingests");
+        }
 
         let rowwise = ds.unified_table();
-        assert_eq!(batched.len(), rowwise.len());
-        for col in ["day", "client_ip", "server_ip", "client_asn", "oblast", "city"] {
-            for i in 0..batched.len() {
-                assert_eq!(
-                    batched.value(i, col),
-                    rowwise.value(i, col),
-                    "cell ({i}, {col}) diverged between batch and row ingest"
-                );
+        for (how, batched) in [("scanned", &scanned), ("transposed", &transposed)] {
+            assert_eq!(batched.len(), rowwise.len(), "{how}");
+            for col in ["day", "client_ip", "server_ip", "client_asn", "oblast", "city"] {
+                for i in 0..batched.len() {
+                    assert_eq!(
+                        batched.value(i, col),
+                        rowwise.value(i, col),
+                        "{how}: cell ({i}, {col}) diverged between batch and row ingest"
+                    );
+                }
             }
-        }
-        // Float cells compare bitwise (the corpus carries NaN metrics).
-        for col in ["tput", "min_rtt", "loss"] {
-            for i in 0..batched.len() {
-                match (batched.value(i, col), rowwise.value(i, col)) {
-                    (ndt_bq::Value::Float(a), ndt_bq::Value::Float(b)) => {
-                        assert_eq!(a.to_bits(), b.to_bits(), "cell ({i}, {col}) diverged")
+            // Float cells compare bitwise (the corpus carries NaN metrics).
+            for col in ["tput", "min_rtt", "loss"] {
+                for i in 0..batched.len() {
+                    match (batched.value(i, col), rowwise.value(i, col)) {
+                        (ndt_bq::Value::Float(a), ndt_bq::Value::Float(b)) => {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{how}: cell ({i}, {col}) diverged")
+                        }
+                        (a, b) => assert_eq!(a, b, "{how}: cell ({i}, {col}) diverged"),
                     }
-                    (a, b) => assert_eq!(a, b, "cell ({i}, {col}) diverged"),
                 }
             }
         }

@@ -71,10 +71,9 @@ pub struct Dataset {
     pub traces: Vec<Scamper1Row>,
 }
 
-/// An empty `ndt.unified_download`-shaped `ndt-bq` table. Streaming
-/// ingestors (the columnar store's report path) start from this and feed
-/// rows through [`push_unified_row`] so their table is cell-for-cell
-/// identical to [`Dataset::unified_table`].
+/// An empty `ndt.unified_download`-shaped `ndt-bq` table, which
+/// `ndt_analysis::StudyDataBuilder` fills batch by batch through
+/// [`crate::columnar::push_unified_batch`].
 pub fn empty_unified_table() -> Table {
     let mut t = Table::new(
         "ndt.unified_download",
@@ -100,7 +99,8 @@ pub fn empty_unified_table() -> Table {
     t
 }
 
-/// Appends one unified row to a table created by [`empty_unified_table`].
+/// Appends one unified row to a table created by [`empty_unified_table`]:
+/// the row-at-a-time reference the batch ingest is tested against.
 pub fn push_unified_row(t: &mut Table, r: &UnifiedDownloadRow) {
     t.push(vec![
         Value::Int(r.day),
@@ -116,8 +116,9 @@ pub fn push_unified_row(t: &mut Table, r: &UnifiedDownloadRow) {
 }
 
 impl Dataset {
-    /// Ingests the unified rows into an `ndt-bq` table so the §4 analyses
-    /// can be written as BigQuery-style queries.
+    /// Ingests the unified rows into an `ndt-bq` table one row at a time
+    /// ([`push_unified_row`]) — the reference table tests compare the
+    /// batch ingest against.
     pub fn unified_table(&self) -> Table {
         let mut t = empty_unified_table();
         for r in &self.ndt {

@@ -410,6 +410,6 @@ fn resume_shard(store: &UnitStore, stem: &str) -> Option<Resumed> {
         return shard_is_complete(&store.vfs, &store.dir, stem).then_some((None, tally));
     }
     // Decoding the pair verifies every page checksum.
-    let (ndt, traces, ..) = read_shard_pair(&store.vfs, &store.dir, stem).ok()?;
-    Some((Some(Dataset { ndt, traces }), tally))
+    let rows = read_shard_pair(&store.vfs, &store.dir, stem).ok()?;
+    Some((Some(rows), tally))
 }

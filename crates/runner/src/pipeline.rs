@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use ndt_analysis::{
     assemble_staged_report, run_analysis_stage, CountryDigest, StageFailure, StageOutput,
-    StudyData, ANALYSIS_STAGES, SCENARIO_STAGES,
+    StudyData, StudyDataBuilder, ANALYSIS_STAGES, SCENARIO_STAGES,
 };
 use ndt_mlab::schema::Dataset;
 use ndt_mlab::sim::SimConfig;
@@ -232,22 +232,23 @@ impl Pipeline {
         Some(dot)
     }
 
-    /// Runs the corpus on the shard pool ([`run_shards`]), recording each
-    /// shard before handing it to `f`.
-    pub(crate) fn shards(&mut self, sim: &SimConfig, mut f: impl FnMut(ShardDone)) -> PoolPlan {
+    /// Runs the corpus on the shard pool ([`run_shards`]), handing each
+    /// shard to `f` — which may take its rows, or fail its record — before
+    /// recording it.
+    pub(crate) fn shards(&mut self, sim: &SimConfig, mut f: impl FnMut(&mut ShardDone)) -> PoolPlan {
         let (records, saved) = (&mut self.records, &mut self.saved_units);
-        run_shards(sim, self.store.as_ref(), |shard| {
+        run_shards(sim, self.store.as_ref(), |mut shard| {
             *saved += usize::from(shard.saved);
-            records.push(shard.record.clone());
-            f(shard)
+            f(&mut shard);
+            records.push(shard.record);
         })
     }
 
-    /// The corpus rows in day order, or `None` when any shard failed (the
-    /// records say which).
+    /// The corpus rows in day order (CSV `generate`), or `None` when any
+    /// shard failed (the records say which).
     fn corpus(&mut self, sim: &SimConfig) -> Option<Dataset> {
         let mut full = Some(Dataset::default());
-        self.shards(sim, |shard| match (&mut full, shard.rows) {
+        self.shards(sim, |shard| match (&mut full, shard.rows.take()) {
             (Some(full), Some(mut part)) => {
                 full.ndt.append(&mut part.ndt);
                 full.traces.append(&mut part.traces);
@@ -368,14 +369,30 @@ impl Pipeline {
 }
 
 /// Shared tail of `report`/`export`: corpus → analyses → assembled report.
+/// Each shard is ingested as the pool hands it back, in day order; a shard
+/// that failed, or failed to ingest, leaves no corpus to analyse.
 fn analyse_and_assemble(
     p: &mut Pipeline,
     cfg: &PipelineConfig,
 ) -> io::Result<(Vec<StageOutput>, String)> {
     let two_country = cfg.sim.scenario.spec().second_country.is_some();
-    let outputs = match p.corpus(&cfg.sim) {
-        Some(corpus) => {
-            let mut data = StudyData::from_dataset(corpus);
+    let mut builder = Some(StudyDataBuilder::new());
+    p.shards(&cfg.sim, |shard| {
+        let Some(rows) = shard.rows.take() else {
+            builder = None;
+            return;
+        };
+        let Some(b) = builder.as_mut() else { return };
+        if let Err(e) = b.push_shard(rows) {
+            builder = None;
+            let err = StageError::Failed(format!("ingest failed: {e}"));
+            ndt_obs::error!("[runner] stage {}: FAILED: {err}", shard.record.name);
+            shard.record.status = StageStatus::Failed(err);
+        }
+    });
+    let outputs = match builder {
+        Some(builder) => {
+            let mut data = builder.finish();
             if two_country {
                 match p.second_country(&cfg.sim) {
                     Some(digest) => data.second_country = Some(digest),

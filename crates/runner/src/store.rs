@@ -16,11 +16,11 @@
 //! store of exactly this shape.
 //!
 //! `report --from-store` never runs the simulator: it streams the
-//! manifest's shards back through [`ndt_mlab::columnar`], rebuilds
-//! [`ndt_analysis::StudyData`] row-for-row in shard order, and runs the exact same
-//! analysis stages as the in-memory path — so its report and artifacts
-//! are byte-identical to `report`'s at every scale/faults/threads
-//! combination (enforced by `tests/store.rs`).
+//! manifest's shards back through [`ndt_mlab::columnar`] as columnar
+//! batches into the same [`StudyDataBuilder`] the in-memory path fills,
+//! in shard order, and runs the exact same analysis stages — so its
+//! report and artifacts are byte-identical to `report`'s at every
+//! scale/faults/threads combination (enforced by `tests/store.rs`).
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -28,12 +28,11 @@ use std::sync::Arc;
 use std::thread;
 
 use ndt_analysis::{assemble_staged_report, CountryDigest, StudyDataBuilder};
-use ndt_bq::vectorized::{BatchCol, ColumnarQuery, RowBatch};
-use ndt_bq::Value;
 use ndt_mlab::columnar::{
     publish_scan_stats, scan_traces, scan_unified, scan_unified_batches, write_traces,
     write_unified, RowFilter, UnifiedBatch,
 };
+use ndt_mlab::schema::Dataset;
 use ndt_mlab::sim::SimConfig;
 use ndt_store::{wire, ScanStats, Shard, WriteStats};
 use ndt_vfs::VfsHandle;
@@ -133,7 +132,7 @@ pub fn run_store_generate(
         if let Some(written) = &shard.written {
             stats.merge(written);
         }
-        shards.push(shard.stem);
+        shards.push(shard.stem.clone());
     });
     ndt_obs::set_process("gen.thread_budget", plan.budget as u64);
     ndt_obs::set_process("gen.shard_workers", plan.workers as u64);
@@ -157,7 +156,7 @@ pub fn run_store_generate(
 pub(crate) fn write_shard_files(
     store: &UnitStore,
     stem: &str,
-    part: &ndt_mlab::schema::Dataset,
+    part: &Dataset,
 ) -> io::Result<WriteStats> {
     let _span = ndt_obs::span("store.write");
     let retry = store.retry.with_jitter_key(wire::fnv1a64(stem.as_bytes()));
@@ -268,74 +267,31 @@ pub fn read_store_fingerprint(vfs: &VfsHandle, store_dir: &Path) -> io::Result<u
         })
 }
 
-/// How `report --from-store` turns shard pages into analysis inputs.
+/// How `report --from-store` turns shard pages into analysis inputs. It
+/// has one value: validated columnar batches flow from the page decoder
+/// straight into the dictionary-encoded table, shard pairs decode in
+/// parallel under the thread budget, and one coordinator ingests them in
+/// manifest order. The type stays so callers of
+/// [`load_study_data_with`] and [`run_report_from_store_with`] keep their
+/// signatures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanEngine {
-    /// The reference path: decode every surviving row into a
-    /// `UnifiedDownloadRow` struct, retain the structs, and re-ingest
-    /// them row-by-row (per-row `Value` boxing and string interning).
-    /// Kept as the baseline the vectorized engine is proven against.
-    Materialized,
-    /// The vectorized path: validated columnar batches flow from the page
-    /// decoder straight into the dictionary-encoded table — no row
-    /// structs, no raw-row retention, categorical cells appended as
-    /// dictionary codes, shard pairs decoded in parallel under the
-    /// bounded thread budget while one coordinator ingests in manifest
-    /// order. Byte-identical reports, O(batch window) resident rows.
+    /// The batch loader.
     #[default]
     Vectorized,
 }
 
-impl ScanEngine {
-    /// Parses a `--engine` value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "materialized" => Some(Self::Materialized),
-            "vectorized" => Some(Self::Vectorized),
-            _ => None,
-        }
-    }
-
-    /// The `--engine` spelling of this variant.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Materialized => "materialized",
-            Self::Vectorized => "vectorized",
-        }
-    }
-}
-
-/// Reads both files of one shard fully into memory — nothing is ingested
-/// until the whole pair decoded cleanly, so a mid-shard failure never
-/// leaves half a shard's rows in the builder. Returns both scans' stats
-/// (unpublished — the caller publishes only successful pairs) and the
-/// wall time of the unified half (scan-throughput accounting).
-#[allow(clippy::type_complexity)]
-pub(crate) fn read_shard_pair(
-    vfs: &VfsHandle,
-    store_dir: &Path,
-    stem: &str,
-) -> Result<
-    (
-        Vec<ndt_mlab::UnifiedDownloadRow>,
-        Vec<ndt_mlab::Scamper1Row>,
-        ScanStats,
-        ScanStats,
-        std::time::Duration,
-    ),
-    io::Error,
-> {
-    let started = std::time::Instant::now();
+/// Reads both files of one shard fully into rows — the resume path of a
+/// checkpoint store, whose shards go back through the shard pool's
+/// hand-back. Decoding verifies every page checksum.
+pub(crate) fn read_shard_pair(vfs: &VfsHandle, store_dir: &Path, stem: &str) -> io::Result<Dataset> {
     let unified =
         Shard::open_with(vfs, store_dir.join(unified_name(stem))).map_err(|e| e.into_io())?;
-    let (ndt_rows, ustats) =
-        scan_unified(&unified, RowFilter::default()).map_err(|e| e.into_io())?;
-    let unified_wall = started.elapsed();
+    let (ndt, _) = scan_unified(&unified, RowFilter::default()).map_err(|e| e.into_io())?;
     let traces =
         Shard::open_with(vfs, store_dir.join(traces_name(stem))).map_err(|e| e.into_io())?;
-    let (trace_rows, tstats) =
-        scan_traces(&traces, RowFilter::default()).map_err(|e| e.into_io())?;
-    Ok((ndt_rows, trace_rows, ustats, tstats, unified_wall))
+    let (traces, _) = scan_traces(&traces, RowFilter::default()).map_err(|e| e.into_io())?;
+    Ok(Dataset { ndt, traces })
 }
 
 /// Moves both files of a damaged shard into `<store>/.quarantine/` so the
@@ -375,8 +331,7 @@ pub fn load_study_data(
 }
 
 /// Records a quarantined shard: moves its files aside, bumps the
-/// deterministic counters, and appends the failed stage record. Shared
-/// verbatim by both engines so the degrade contract cannot drift.
+/// deterministic counters, and appends the failed stage record.
 fn note_quarantined(
     vfs: &VfsHandle,
     store_dir: &Path,
@@ -396,8 +351,7 @@ fn note_quarantined(
     });
 }
 
-/// Per-load scan accounting, published once at the end of the load so
-/// both engines emit one deterministic set of counters per scan.
+/// Per-load scan accounting, published once at the end of the load.
 #[derive(Default)]
 struct LoadMetrics {
     /// Unified rows ingested (surviving shards only).
@@ -411,7 +365,7 @@ struct LoadMetrics {
 }
 
 impl LoadMetrics {
-    fn publish(&self, engine: ScanEngine, wall: std::time::Duration) {
+    fn publish(&self, wall: std::time::Duration) {
         // Wall-clock throughput is machine-dependent: process namespace
         // only. The deterministic row/prune counters are published per
         // successful pair via `publish_scan_stats`.
@@ -425,33 +379,23 @@ impl LoadMetrics {
         ndt_obs::incr_process("store.unified_rows", self.unified_rows);
         ndt_obs::incr_process("store.unified_scan_us", self.scan_us);
         ndt_obs::incr_process("store.unified_ingest_us", self.ingest_us);
-        ndt_obs::set_process(
-            "store.engine_vectorized",
-            matches!(engine, ScanEngine::Vectorized) as u64,
-        );
     }
 }
 
-/// [`load_study_data`] with an explicit [`ScanEngine`] and thread budget
-/// (`0` = all cores; only the vectorized engine fans out).
+/// [`load_study_data`] with an explicit [`ScanEngine`] and decode thread
+/// budget (`0` = all cores).
 pub fn load_study_data_with(
     vfs: &VfsHandle,
     store_dir: &Path,
-    engine: ScanEngine,
+    _engine: ScanEngine,
     threads: usize,
 ) -> io::Result<(ndt_analysis::StudyData, Vec<StageRecord>)> {
     let manifest = read_manifest(vfs, store_dir)?;
     let _span = ndt_obs::span("stage.store-read");
     let started = std::time::Instant::now();
     let mut metrics = LoadMetrics::default();
-    let (mut data, mut records) = match engine {
-        ScanEngine::Materialized => {
-            load_materialized(vfs, store_dir, &manifest.stems, &mut metrics)?
-        }
-        ScanEngine::Vectorized => {
-            load_vectorized(vfs, store_dir, &manifest.stems, threads, &mut metrics)?
-        }
-    };
+    let (mut data, mut records) =
+        load_shards(vfs, store_dir, &manifest.stems, threads, &mut metrics);
     // Auxiliary digest files (the second-country digest of asymmetric
     // scenarios): same degrade-don't-die contract as shards — a missing
     // or corrupt digest becomes a failed record and the table_ab stage
@@ -477,41 +421,8 @@ pub fn load_study_data_with(
             }
         }
     }
-    metrics.publish(engine, started.elapsed());
+    metrics.publish(started.elapsed());
     Ok((data, records))
-}
-
-/// The reference loader: one shard pair at a time, every row through a
-/// `UnifiedDownloadRow`, retained in `raw.ndt` — peak resident rows is
-/// the corpus.
-fn load_materialized(
-    vfs: &VfsHandle,
-    store_dir: &Path,
-    stems: &[String],
-    metrics: &mut LoadMetrics,
-) -> io::Result<(ndt_analysis::StudyData, Vec<StageRecord>)> {
-    let mut builder = StudyDataBuilder::new();
-    let mut records = Vec::new();
-    let mut resident_rows: u64 = 0;
-    for stem in stems {
-        match read_shard_pair(vfs, store_dir, stem) {
-            Ok((ndt_rows, trace_rows, ustats, tstats, unified_wall)) => {
-                publish_scan_stats(&ustats);
-                publish_scan_stats(&tstats);
-                metrics.unified_rows += ndt_rows.len() as u64;
-                metrics.rows_total += ndt_rows.len() as u64 + trace_rows.len() as u64;
-                metrics.scan_us += unified_wall.as_micros() as u64;
-                resident_rows += ndt_rows.len() as u64;
-                ndt_obs::set_process_max("store.peak_resident_rows", resident_rows);
-                let t0 = std::time::Instant::now();
-                builder.push_ndt_rows(ndt_rows);
-                metrics.ingest_us += t0.elapsed().as_micros() as u64;
-                builder.push_trace_rows(trace_rows);
-            }
-            Err(e) => note_quarantined(vfs, store_dir, stem, &e, &mut records),
-        }
-    }
-    Ok((builder.finish(), records))
 }
 
 /// Messages one decode worker streams to the ingest coordinator for one
@@ -533,7 +444,7 @@ const BATCH_CHANNEL_CAP: usize = 2;
 
 /// Decodes one shard pair, streaming results into `tx`. Runs on a pool
 /// worker; never ingests anything itself.
-fn decode_pair_vectorized(
+fn decode_pair(
     vfs: &VfsHandle,
     store_dir: &Path,
     stem: &str,
@@ -583,21 +494,20 @@ fn decode_pair_vectorized(
     let _ = tx.send(msg);
 }
 
-/// The vectorized loader: a bounded pool of decode workers claims shard
-/// pairs in manifest order from a shared cursor and streams validated
-/// columnar batches through per-pair bounded channels; the coordinator
-/// ingests pair-by-pair in manifest order, so table contents, stats,
-/// quarantine records and counters are byte-identical to a sequential
-/// run at any thread count. A pair that fails mid-stream is rolled back
-/// to its start mark and quarantined — exactly the all-or-nothing
-/// contract of the materialized loader.
-fn load_vectorized(
+/// The store loader: a bounded pool of decode workers claims shard pairs
+/// in manifest order from a shared cursor and streams validated columnar
+/// batches through per-pair bounded channels; the coordinator ingests
+/// pair-by-pair in manifest order, so table contents, stats, quarantine
+/// records and counters are byte-identical to a sequential run at any
+/// thread count. A pair that fails mid-stream is rolled back to its start
+/// mark and quarantined: a failed shard contributes nothing.
+fn load_shards(
     vfs: &VfsHandle,
     store_dir: &Path,
     stems: &[String],
     threads: usize,
     metrics: &mut LoadMetrics,
-) -> io::Result<(ndt_analysis::StudyData, Vec<StageRecord>)> {
+) -> (ndt_analysis::StudyData, Vec<StageRecord>) {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::mpsc::sync_channel;
     use std::sync::Mutex;
@@ -614,14 +524,6 @@ fn load_vectorized(
     let cursor = AtomicUsize::new(0);
     let resident = AtomicU64::new(0);
     let scan_us = AtomicU64::new(0);
-
-    // Day aggregation runs alongside ingestion: one `ColumnarQuery`
-    // group-by over the dense day column of every ingested batch. The
-    // finished group set *is* the distinct-day set the gap computation
-    // needs, held at O(days) — no post-hoc table scan.
-    let day_query = ColumnarQuery::new().group_by("day");
-    let mut day_groups = day_query.start();
-
     let mut builder = StudyDataBuilder::new();
     let mut records = Vec::new();
 
@@ -635,14 +537,13 @@ fn load_vectorized(
                 let j = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(stem) = stems.get(j) else { break };
                 let tx = txs[j].lock().expect("pair sender lock").take().expect("pair sender");
-                decode_pair_vectorized(vfs, store_dir, stem, &tx, resident, scan_us);
+                decode_pair(vfs, store_dir, stem, &tx, resident, scan_us);
             });
         }
 
         // Coordinator: drain pair channels in manifest order.
         for (j, stem) in stems.iter().enumerate() {
             let mark = builder.mark();
-            let mut day_state = day_query.start();
             let mut outcome: Option<io::Result<(ScanStats, ScanStats)>> = None;
             let mut ingest_err: Option<io::Error> = None;
             while outcome.is_none() {
@@ -650,12 +551,7 @@ fn load_vectorized(
                     Ok(PairMsg::Unified(b)) => {
                         if ingest_err.is_none() {
                             let t0 = std::time::Instant::now();
-                            let ingest = RowBatch::new(b.rows())
-                                .with("day", BatchCol::IntDense(&b.day));
-                            let r = day_query
-                                .feed(&mut day_state, &ingest)
-                                .map_err(|e| io::Error::other(e.to_string()))
-                                .and_then(|()| builder.push_unified_batch(&b));
+                            let r = builder.push_unified_batch(&b);
                             metrics.ingest_us += t0.elapsed().as_micros() as u64;
                             if let Err(e) = r {
                                 ingest_err = Some(e);
@@ -687,7 +583,6 @@ fn load_vectorized(
                     publish_scan_stats(&tstats);
                     metrics.unified_rows += ustats.rows_emitted;
                     metrics.rows_total += ustats.rows_emitted + tstats.rows_emitted;
-                    day_groups.merge(day_state);
                 }
                 Err(e) => {
                     builder.rollback(mark);
@@ -698,16 +593,7 @@ fn load_vectorized(
     });
 
     metrics.scan_us += scan_us.load(Ordering::Relaxed);
-    ndt_obs::set_process_max("store.peak_group_count", day_groups.peak_groups() as u64);
-    let days: std::collections::BTreeSet<i64> = day_groups
-        .finish()
-        .into_iter()
-        .filter_map(|(key, _)| match key {
-            Value::Int(d) => Some(d),
-            _ => None,
-        })
-        .collect();
-    Ok((builder.finish_with_days(&days), records))
+    (builder.finish(), records)
 }
 
 /// The `report --from-store` command: stream the corpus from a columnar
@@ -726,8 +612,7 @@ pub fn run_report_from_store(
 
 /// [`run_report_from_store`] with an explicit [`ScanEngine`] and decode
 /// thread budget (`0` = all cores). The report and artifacts are
-/// byte-identical across engines and thread counts — the engine choice
-/// only moves the scan-throughput and resident-row numbers.
+/// byte-identical across thread budgets.
 pub fn run_report_from_store_with(
     store_dir: &Path,
     exec: ExecPolicy,

@@ -21,13 +21,6 @@
 //! # snapshot — tests/sec per run and speedup vs the first — failing
 //! # when a later run regresses below 90% of the best so far.
 //! cargo run --release --example extract_bench -- --gen BENCH_gen_throughput.json m1.json m2.json
-//!
-//! # Scan mode: distill `report --from-store` runs (materialized engine
-//! # first, then vectorized) into the store-scan snapshot — unified
-//! # scan+ingest rows/sec per run, pruning counters, peak resident rows
-//! # and peak group count — failing when a run regresses below 80% of
-//! # the best so far or the best engine is under 3x the first.
-//! cargo run --release --example extract_bench -- --scan BENCH_store_scan.json mat.json vec.json
 //! ```
 //!
 //! Since the ndt-obs-v2 artifact, every span line carries `p50_ms` /
@@ -249,118 +242,6 @@ fn extract_gen_bench(artifacts: &[String]) -> Option<String> {
     ok.then_some(out)
 }
 
-/// One `report --from-store` run's scan-side numbers, distilled from its
-/// metrics artifact. Throughput is defined over the *unified* scan+ingest
-/// window (`store.unified_scan_us` + `store.unified_ingest_us`): trace
-/// shards decode identically on both engines, so folding them in would
-/// only dilute the comparison the snapshot exists to track.
-struct ScanRun {
-    engine: &'static str,
-    rows: u64,
-    scan_us: u64,
-    ingest_us: u64,
-    rows_per_sec: f64,
-    rows_pruned: u64,
-    pages_skipped: u64,
-    groups_pruned_dict: u64,
-    peak_resident_rows: u64,
-    peak_group_count: u64,
-}
-
-fn scan_run(artifact: &str) -> ScanRun {
-    let rows = map_value(artifact, "store.unified_rows");
-    let scan_us = map_value(artifact, "store.unified_scan_us");
-    let ingest_us = map_value(artifact, "store.unified_ingest_us");
-    let window_us = scan_us + ingest_us;
-    let rows_per_sec =
-        if window_us > 0 { rows as f64 * 1_000_000.0 / window_us as f64 } else { 0.0 };
-    ScanRun {
-        engine: if map_value(artifact, "store.engine_vectorized") > 0 {
-            "vectorized"
-        } else {
-            "materialized"
-        },
-        rows,
-        scan_us,
-        ingest_us,
-        rows_per_sec,
-        rows_pruned: map_value(artifact, "store.rows_pruned"),
-        pages_skipped: map_value(artifact, "store.pages_skipped"),
-        groups_pruned_dict: map_value(artifact, "store.groups_pruned_dict"),
-        peak_resident_rows: map_value(artifact, "store.peak_resident_rows"),
-        peak_group_count: map_value(artifact, "store.peak_group_count"),
-    }
-}
-
-/// Distills `report --from-store` runs — the materialized engine first,
-/// then the vectorized engine (optionally at several thread counts) —
-/// into the store-scan snapshot. Two gates, both printed before failing:
-/// every run must hold 80% of the best rows/sec so far (a vectorized
-/// regression against itself), and the best run must clear 3x the first
-/// (the vectorized engine's reason to exist over the materialized scan).
-/// Returns `None` on a gate failure so the CI step fails.
-fn extract_scan_bench(artifacts: &[String]) -> Option<String> {
-    let runs: Vec<ScanRun> = artifacts.iter().map(|a| scan_run(a)).collect();
-    let first_rps = runs.first().map(|r| r.rows_per_sec).unwrap_or(0.0);
-    let mut out = String::from("{\n  \"format\": \"ndt-bench-store-scan-v1\",\n  \"runs\": [\n");
-    let mut best_so_far: f64 = 0.0;
-    let mut ok = true;
-    for (i, r) in runs.iter().enumerate() {
-        let speedup = if first_rps > 0.0 { r.rows_per_sec / first_rps } else { 0.0 };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"unified_rows\": {}, \"scan_us\": {}, \
-             \"ingest_us\": {}, \"rows_per_sec\": {:.0}, \"speedup_vs_first\": {:.2}, \
-             \"rows_pruned\": {}, \"pages_skipped\": {}, \"groups_pruned_dict\": {}, \
-             \"peak_resident_rows\": {}, \"peak_group_count\": {}}}{}\n",
-            r.engine,
-            r.rows,
-            r.scan_us,
-            r.ingest_us,
-            r.rows_per_sec,
-            speedup,
-            r.rows_pruned,
-            r.pages_skipped,
-            r.groups_pruned_dict,
-            r.peak_resident_rows,
-            r.peak_group_count,
-            if i + 1 < runs.len() { "," } else { "" },
-        ));
-        eprintln!(
-            "scan run {}: {} — {} unified rows in {:.3}s scan + {:.3}s ingest = \
-             {:.0} rows/sec ({:.2}x vs first; peak resident {}, {} groups)",
-            i + 1,
-            r.engine,
-            r.rows,
-            r.scan_us as f64 / 1_000_000.0,
-            r.ingest_us as f64 / 1_000_000.0,
-            r.rows_per_sec,
-            speedup,
-            r.peak_resident_rows,
-            r.peak_group_count,
-        );
-        if r.rows_per_sec < best_so_far * 0.8 {
-            eprintln!(
-                "error: run {} regressed to {:.0} rows/sec (< 80% of the {:.0} best so far)",
-                i + 1,
-                r.rows_per_sec,
-                best_so_far,
-            );
-            ok = false;
-        }
-        best_so_far = best_so_far.max(r.rows_per_sec);
-    }
-    let best_speedup = if first_rps > 0.0 { best_so_far / first_rps } else { 0.0 };
-    if best_speedup < 3.0 {
-        eprintln!(
-            "error: best engine is only {best_speedup:.2}x the first run's throughput \
-             (the vectorized scan must clear 3x the materialized baseline)"
-        );
-        ok = false;
-    }
-    out.push_str(&format!("  ],\n  \"best_speedup_vs_first\": {best_speedup:.2}\n}}\n"));
-    ok.then_some(out)
-}
-
 fn read_or_complain(path: &str) -> Option<String> {
     match fs::read_to_string(path) {
         Ok(s) => Some(s),
@@ -417,20 +298,6 @@ fn main() -> ExitCode {
                 _ => ExitCode::FAILURE,
             }
         }
-        [flag, rest @ ..] if flag == "--scan" && rest.len() >= 2 => {
-            let output = &rest[0];
-            let mut artifacts = Vec::new();
-            for input in &rest[1..] {
-                let Some(artifact) = read_or_complain(input) else {
-                    return ExitCode::FAILURE;
-                };
-                artifacts.push(artifact);
-            }
-            match extract_scan_bench(&artifacts) {
-                Some(snapshot) if write_or_complain(output, &snapshot) => ExitCode::SUCCESS,
-                _ => ExitCode::FAILURE,
-            }
-        }
         [flag, reference, fresh] if flag == "--check" => {
             let (Some(want), Some(got)) = (read_or_complain(reference), read_or_complain(fresh))
             else {
@@ -452,7 +319,6 @@ fn main() -> ExitCode {
                 "usage: extract_bench <metrics.json> <bench-out.json>\n       \
                  extract_bench --serve <metrics.json> <bench-out.json>\n       \
                  extract_bench --gen <bench-out.json> <metrics.json>...\n       \
-                 extract_bench --scan <bench-out.json> <mat-metrics.json> <vec-metrics.json>...\n       \
                  extract_bench --check <reference.json> <fresh.json>"
             );
             ExitCode::FAILURE

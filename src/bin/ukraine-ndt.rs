@@ -32,7 +32,8 @@
 //! path for the configuration that generated the store.
 //!
 //! All commands additionally accept `--threads N` (simulator worker
-//! threads, 0 = all cores), `--metrics PATH` (write an `ndt-obs` JSON
+//! threads, or store decode threads for `report --from-store`; 0 = all
+//! cores), `--metrics PATH` (write an `ndt-obs` JSON
 //! metrics artifact — spans, counters, event log — after the run), and
 //! `--quiet` / `--verbose` (event-log verbosity). The metrics artifact is
 //! structurally deterministic: its counter and gauge sections are
@@ -106,10 +107,6 @@ struct Options {
     format: CorpusFormat,
     /// `report` from an existing columnar store instead of simulating.
     from_store: Option<PathBuf>,
-    /// `report --from-store` scan engine (`--engine`): the vectorized
-    /// page-to-table path (default) or the materialized row-struct
-    /// reference path.
-    engine: ScanEngine,
     /// Simulator worker threads (0 = all available cores).
     threads: usize,
     /// Write the ndt-obs metrics artifact here after the run.
@@ -153,7 +150,6 @@ impl Default for Options {
             resume: false,
             format: CorpusFormat::Csv,
             from_store: None,
-            engine: ScanEngine::default(),
             threads: 0,
             metrics: None,
             verbosity: ukraine_ndt::obs::Level::Info,
@@ -193,7 +189,7 @@ fn usage() -> ExitCode {
          [--scale S] [--seed N] [--scenario NAME] [--scenario-file PATH] \
          [--faults none|light|moderate|severe|sidecar-blackout] \
          [--out DIR] [--date YYYY-MM-DD] [--resume] \
-         [--format csv|columnar] [--from-store DIR] [--engine vectorized|materialized] \
+         [--format csv|columnar] [--from-store DIR] \
          [--io-faults none|flaky|torn|rot|chaos] \
          [--threads N] [--metrics PATH] [--quiet] [--verbose]\n\
          scenarios: {} (or any name registered via --scenario-file)\n\
@@ -260,7 +256,6 @@ fn parse(args: &[String]) -> Option<(String, Options)> {
             "--io-faults" => opts.io_faults = IoFaultPlan::by_name(value)?,
             "--out" => opts.out = PathBuf::from(value),
             "--from-store" => opts.from_store = Some(PathBuf::from(value)),
-            "--engine" => opts.engine = ScanEngine::parse(value)?,
             "--format" => {
                 opts.format = match value.as_str() {
                     "csv" => CorpusFormat::Csv,
@@ -386,17 +381,13 @@ fn cmd_report(opts: &Options) -> Result<ExitCode, NdtError> {
     // The simulation knobs are baked into the store's shard files, so
     // --scale/--seed/--faults are ignored in this mode.
     if let Some(store_dir) = &opts.from_store {
-        eprintln!(
-            "streaming corpus from store {} ({} engine) ...",
-            store_dir.display(),
-            opts.engine.as_str()
-        );
+        eprintln!("streaming corpus from store {} ...", store_dir.display());
         let vfs = VfsHandle::faulty(opts.io_faults);
         let outcome = run_report_from_store_with(
             store_dir,
             ExecPolicy::default(),
             &vfs,
-            opts.engine,
+            ScanEngine::default(),
             opts.threads,
         )?;
         println!("{}", outcome.report);
@@ -792,18 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_scan_engine() {
-        let (_, o) = parse(&args(&["report", "--from-store", "/tmp/s"])).expect("parses");
-        assert_eq!(o.engine, ScanEngine::Vectorized, "vectorized is the default");
-        let (_, o) = parse(&args(&["report", "--engine", "materialized"])).expect("parses");
-        assert_eq!(o.engine, ScanEngine::Materialized);
-        let (_, o) = parse(&args(&["report", "--engine", "vectorized"])).expect("parses");
-        assert_eq!(o.engine, ScanEngine::Vectorized);
-        assert!(parse(&args(&["report", "--engine", "turbo"])).is_none(), "unknown engine");
-        assert!(parse(&args(&["report", "--engine"])).is_none(), "missing value");
-    }
-
-    #[test]
     fn parses_all_flags() {
         let (cmd, o) = parse(&args(&[
             "export", "--scale", "0.5", "--seed", "9", "--scenario", "edge-only", "--faults",
@@ -858,6 +837,7 @@ mod tests {
         assert!(parse(&args(&["report", "--from-store"])).is_none(), "missing value");
         assert!(parse(&args(&["report", "--io-faults", "meteor-strike"])).is_none());
         assert!(parse(&args(&["report", "--io-faults"])).is_none(), "missing value");
+        assert!(parse(&args(&["report", "--engine", "vectorized"])).is_none(), "removed flag");
     }
 
     #[test]
