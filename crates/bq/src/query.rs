@@ -502,11 +502,6 @@ impl<'t> Query<'t> {
         self.distinct(col).len()
     }
 
-    /// Fallible [`Query::count_distinct`].
-    pub fn try_count_distinct(&self, col: &str) -> Result<usize, BqError> {
-        Ok(self.try_distinct(col)?.len())
-    }
-
     /// Keeps the top `n` groups of `group_by(col)` ranked by row count
     /// (descending, ties by first appearance) — the paper's
     /// "top-1000 connections" / "top-10 ASes" idiom.

@@ -2,10 +2,9 @@
 
 use crate::error::BqError;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Column type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColType {
     Int,
     Float,
@@ -27,7 +26,7 @@ pub const NULL_CODE: u32 = u32::MAX;
 /// Dictionary order is an ingestion artifact (first appearance wins), so
 /// equality is *logical*: two dict columns are equal when they hold the
 /// same string sequence, however their dictionaries are ordered.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DictColumn {
     dict: Vec<String>,
     codes: Vec<u32>,
@@ -125,7 +124,7 @@ impl PartialEq for DictColumn {
 }
 
 /// Columnar storage for one column (nullable).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Column {
     Int(Vec<Option<i64>>),
     Float(Vec<Option<f64>>),
@@ -235,7 +234,7 @@ impl Column {
 }
 
 /// A named table with a fixed schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     names: Vec<String>,
@@ -263,11 +262,6 @@ impl Table {
     /// Table name (e.g. `ndt.unified_download`).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Column names in schema order.
-    pub fn column_names(&self) -> &[String] {
-        &self.names
     }
 
     /// Appends a row.

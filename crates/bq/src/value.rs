@@ -1,9 +1,7 @@
 //! Dynamically typed cell values.
 
-use serde::{Deserialize, Serialize};
-
 /// A single cell: one of the supported scalar types, or SQL-style `Null`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Int(i64),
     Float(f64),

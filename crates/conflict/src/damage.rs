@@ -22,11 +22,10 @@ use ndt_geo::Oblast;
 use ndt_scenario::{Scenario, ScenarioSpec};
 use ndt_topology::asn::well_known as wk;
 use ndt_topology::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Period-mean multipliers of wartime relative to prewar.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DamageProfile {
     /// Test-count multiplier (displacement/curiosity net effect).
     pub count_mult: f64,
@@ -193,7 +192,7 @@ pub fn siege_boost(city_name: &str, day: i64) -> Option<DamageProfile> {
 }
 
 /// Damage to one border AS's Ukrainian adjacencies on a given day.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BorderDamage {
     pub asn: Asn,
     /// Additive loss on the AS's Ukrainian links.

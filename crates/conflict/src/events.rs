@@ -2,10 +2,9 @@
 
 use crate::calendar::{dates, Date};
 use ndt_topology::Asn;
-use serde::{Deserialize, Serialize};
 
 /// Category of a narrative event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Start of the invasion.
     Invasion,
@@ -20,7 +19,7 @@ pub enum EventKind {
 }
 
 /// A narrative event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     pub date: Date,
     pub kind: EventKind,
@@ -40,7 +39,7 @@ pub fn key_events() -> Vec<Event> {
 }
 
 /// A transit-network outage affecting routing availability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageEvent {
     pub day: i64,
     pub asn: Asn,

@@ -21,10 +21,9 @@ use ndt_conflict::Period;
 use ndt_mlab::sim::Scenario;
 use ndt_mlab::SimConfig;
 use ndt_store::wire::fnv1a64;
-use serde::Serialize;
 
 /// One study period's aggregate metrics for one country.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodStats {
     pub period: Period,
     /// Unified rows in the period.
@@ -38,7 +37,7 @@ pub struct PeriodStats {
 }
 
 /// A country's per-period corpus digest, in [`Period::ALL`] order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CountryDigest {
     pub name: String,
     pub periods: Vec<PeriodStats>,
@@ -234,7 +233,7 @@ pub fn second_country_digest(cfg: &SimConfig) -> Result<Option<CountryDigest>, A
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::test_support::shared_small;
+    use crate::dataset::test_support::{shared_small, small_dataset};
     use proptest::prelude::*;
 
     #[test]
@@ -321,7 +320,7 @@ mod tests {
 
     #[test]
     fn table_ab_renders_both_countries() {
-        let mut data = StudyData::from_dataset(shared_small().raw.clone());
+        let mut data = StudyData::from_dataset(small_dataset().clone());
         assert!(table_ab(&data).is_err(), "no second country attached");
         let b = second_country_digest(&SimConfig {
             scenario: Scenario::ASYMMETRIC,

@@ -9,7 +9,6 @@
 //! rendered cells rest on too few samples to trust.
 
 use ndt_bq::Query;
-use serde::{Deserialize, Serialize};
 
 use crate::error::AnalysisError;
 
@@ -22,7 +21,7 @@ pub const LOW_SAMPLE_N: usize = 30;
 pub const DAGGER: &str = "\u{2020}";
 
 /// Why a row was excluded from a computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DropReason {
     /// Geolocation failed: the row's oblast/city is null, so it cannot be
     /// attributed to a region.
@@ -45,7 +44,7 @@ impl DropReason {
 }
 
 /// Row accounting for one computed table or figure.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Coverage {
     /// Rows that entered the computation (before any drops).
     pub rows_seen: usize,

@@ -7,13 +7,13 @@ use ndt_bq::{Query, Table, Value};
 use ndt_conflict::Period;
 use ndt_mlab::columnar::{push_unified_batch, UnifiedBatch};
 use ndt_mlab::schema::empty_unified_table;
-use ndt_mlab::{Dataset, Scamper1Row, SimConfig, Simulator, UnifiedDownloadRow};
+use ndt_mlab::{Dataset, Scamper1Row, SimConfig, Simulator};
 use ndt_store::DEFAULT_GROUP_ROWS;
 
 /// The generated corpus, ready for analysis.
 pub struct StudyData {
-    /// Raw dataset (scamper rows consumed natively by the §5 analyses).
-    pub raw: Dataset,
+    /// `ndt.scamper1` rows, consumed natively by the §5 analyses.
+    pub traces: Vec<Scamper1Row>,
     /// `ndt.unified_download` as a queryable table (§4 analyses).
     pub unified: Table,
     /// Inclusive day ranges with no unified rows *inside an otherwise
@@ -64,12 +64,13 @@ impl StudyData {
         Self::from_dataset(raw)
     }
 
-    /// Wraps an already-generated dataset, keeping its rows in `raw`. The
-    /// table is built by [`StudyDataBuilder`], as every corpus's is.
+    /// Wraps an already-generated dataset. It is built by
+    /// [`StudyDataBuilder`], as every corpus is, so the unified row structs
+    /// are dropped once the table holds them.
     pub fn from_dataset(raw: Dataset) -> Self {
         let mut b = StudyDataBuilder::new();
-        b.push_rows(&raw.ndt).expect("a dataset's rows transpose into valid unified batches");
-        Self { raw, ..b.finish() }
+        b.push_shard(raw).expect("a dataset's rows transpose into valid unified batches");
+        b.finish()
     }
 
     /// Unified rows within a period.
@@ -91,7 +92,7 @@ impl StudyData {
     /// Scamper rows within a period.
     pub fn traces_in(&self, p: Period) -> impl Iterator<Item = &Scamper1Row> {
         let (s, e) = p.day_range();
-        self.raw.traces.iter().filter(move |r| (s..e).contains(&r.day))
+        self.traces.iter().filter(move |r| (s..e).contains(&r.day))
     }
 
     /// Total unified rows.
@@ -104,8 +105,8 @@ impl StudyData {
 /// whole shards from the shard pool ([`Self::push_shard`]), or decoded
 /// store batches ([`Self::push_unified_batch`], [`Self::push_trace_rows`])
 /// — and every unified row enters the table as part of a columnar batch.
-/// The builder keeps no unified row structs, so `raw.ndt` of the finished
-/// [`StudyData`] is empty; its traces are every trace pushed, in order.
+/// The builder keeps no unified row structs; the finished [`StudyData`]'s
+/// traces are every trace pushed, in order.
 #[derive(Default)]
 pub struct StudyDataBuilder {
     unified: Option<Table>,
@@ -133,14 +134,11 @@ impl StudyDataBuilder {
     /// and dropped, and its traces move in. On error the shard may be
     /// partly ingested; [`Self::mark`] first if that matters.
     pub fn push_shard(&mut self, shard: Dataset) -> io::Result<()> {
-        self.push_rows(&shard.ndt)?;
+        for chunk in shard.ndt.chunks(DEFAULT_GROUP_ROWS) {
+            self.push_unified_batch(&UnifiedBatch::from_rows(chunk))?;
+        }
         self.push_trace_rows(shard.traces);
         Ok(())
-    }
-
-    fn push_rows(&mut self, rows: &[UnifiedDownloadRow]) -> io::Result<()> {
-        rows.chunks(DEFAULT_GROUP_ROWS)
-            .try_for_each(|chunk| self.push_unified_batch(&UnifiedBatch::from_rows(chunk)))
     }
 
     /// Ingests one columnar batch straight into the unified table, cell
@@ -185,15 +183,14 @@ impl StudyDataBuilder {
     pub fn finish(self) -> StudyData {
         let unified = self.unified.unwrap_or_else(empty_unified_table);
         let day_gaps = compute_day_gaps(&unified);
-        let raw = Dataset { ndt: Vec::new(), traces: self.traces };
-        StudyData { raw, unified, day_gaps, second_country: None }
+        StudyData { traces: self.traces, unified, day_gaps, second_country: None }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::test_support::shared_small;
+    use crate::dataset::test_support::{shared_small, small_dataset};
 
     #[test]
     fn periods_partition_unified_rows() {
@@ -217,15 +214,15 @@ mod tests {
 
     #[test]
     fn dropped_days_inside_populated_windows_become_gaps() {
-        let full = shared_small();
+        let full = small_dataset();
         // Rebuild the corpus with two day runs removed — one mid-window,
         // one spanning a window edge — as if the shards holding them had
         // been quarantined.
         let lost = |d: i64| (20..25).contains(&d) || (54..60).contains(&d);
         let mut b = StudyDataBuilder::new();
         b.push_shard(Dataset {
-            ndt: full.raw.ndt.iter().filter(|r| !lost(r.day)).cloned().collect(),
-            traces: full.raw.traces.iter().filter(|r| !lost(r.day)).cloned().collect(),
+            ndt: full.ndt.iter().filter(|r| !lost(r.day)).cloned().collect(),
+            traces: full.traces.iter().filter(|r| !lost(r.day)).cloned().collect(),
         })
         .expect("ingests");
         let degraded = b.finish();
@@ -234,7 +231,7 @@ mod tests {
         let mut empty_window = StudyDataBuilder::new();
         empty_window
             .push_shard(Dataset {
-                ndt: full.raw.ndt.iter().filter(|r| r.day >= 365).cloned().collect(),
+                ndt: full.ndt.iter().filter(|r| r.day >= 365).cloned().collect(),
                 traces: Vec::new(),
             })
             .expect("ingests");
@@ -256,12 +253,19 @@ pub mod test_support {
     use super::*;
     use std::sync::OnceLock;
 
+    static SMALL_DATASET: OnceLock<Dataset> = OnceLock::new();
     static SMALL: OnceLock<StudyData> = OnceLock::new();
     static MEDIUM: OnceLock<StudyData> = OnceLock::new();
 
+    /// The simulator's rows behind [`shared_small`], for tests that
+    /// rebuild a corpus from them.
+    pub fn small_dataset() -> &'static Dataset {
+        SMALL_DATASET.get_or_init(|| Simulator::new(SimConfig::small(1234)).run())
+    }
+
     /// A ~6%-volume corpus, shared by fast unit tests.
     pub fn shared_small() -> &'static StudyData {
-        SMALL.get_or_init(|| StudyData::generate(SimConfig::small(1234)))
+        SMALL.get_or_init(|| StudyData::from_dataset(small_dataset().clone()))
     }
 
     /// A ~20%-volume corpus for analyses that need statistical depth

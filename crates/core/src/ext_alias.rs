@@ -14,11 +14,10 @@ use crate::dataset::StudyData;
 use crate::error::AnalysisError;
 use crate::render::text_table;
 use ndt_conflict::Period;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Paths-per-connection at the three granularities for one period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AliasRow {
     pub period: Period,
     /// §5.1's number: distinct interface-level paths.
@@ -33,7 +32,7 @@ pub struct AliasRow {
 }
 
 /// The extension's result table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AliasComparison {
     pub rows: Vec<AliasRow>,
     /// Degradation accounting: periods whose connection pool runs thin are

@@ -14,10 +14,9 @@ use crate::fig3_oblast;
 use crate::render::text_table;
 use ndt_conflict::intensity::wartime_mean_intensity;
 use ndt_stats::spearman;
-use serde::{Deserialize, Serialize};
 
 /// The correlation summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntensityCorrelation {
     /// Oblasts included (those with data in both periods).
     pub n: usize,

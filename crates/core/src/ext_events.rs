@@ -16,10 +16,9 @@ use crate::render::text_table;
 use ndt_conflict::calendar::Date;
 use ndt_conflict::events::{key_events, Event};
 use ndt_stats::{quantile, welch_t_test};
-use serde::{Deserialize, Serialize};
 
 /// A detected level shift in a daily series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChangePoint {
     /// Day index of the first day of the new level.
     pub day: i64,
@@ -70,7 +69,7 @@ pub fn change_points(series: &[(i64, f64)], window: usize, threshold: f64) -> Ve
 }
 
 /// A detected single-day spike in a count series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spike {
     pub day: i64,
     /// Value as a multiple of the trailing-window mean.
@@ -96,7 +95,7 @@ pub fn spikes(series: &[(i64, f64)], window: usize, k: f64) -> Vec<Spike> {
 }
 
 /// One timeline event with its nearest detection, if any.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventMatch {
     pub event: Event,
     /// Day of the nearest loss/RTT change point or count spike within the
@@ -105,7 +104,7 @@ pub struct EventMatch {
 }
 
 /// The full date-level study.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventStudy {
     pub loss_changes: Vec<ChangePoint>,
     pub rtt_changes: Vec<ChangePoint>,

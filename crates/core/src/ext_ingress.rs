@@ -14,11 +14,10 @@ use crate::error::AnalysisError;
 use crate::render::text_table;
 use ndt_conflict::Period;
 use ndt_topology::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Ingress statistics for one Ukrainian AS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngressShift {
     /// The Ukrainian AS receiving the traffic.
     pub ua_asn: Asn,
@@ -34,7 +33,7 @@ pub struct IngressShift {
 }
 
 /// The scan across all multi-ingress Ukrainian ASes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngressScan {
     /// Ranked by tests (the paper's "most commonly occurring" criterion),
     /// restricted to ASes with ≥ 2 foreign ingresses.
@@ -94,12 +93,6 @@ pub fn compute(data: &StudyData) -> Result<IngressScan, AnalysisError> {
 }
 
 impl IngressScan {
-    /// The paper's selection criterion: the most commonly occurring
-    /// multi-ingress AS.
-    pub fn most_common(&self) -> Option<&IngressShift> {
-        self.rows.first()
-    }
-
     /// Row by AS.
     pub fn row(&self, ua: Asn) -> Option<&IngressShift> {
         self.rows.iter().find(|r| r.ua_asn == ua)

@@ -16,11 +16,10 @@ use ndt_bq::Query;
 use ndt_conflict::Period;
 use ndt_geo::city::KEY_CITIES;
 use ndt_stats::{jarque_bera, mann_whitney_u, welch_t_test, JarqueBera, MannWhitney, WelchTTest};
-use serde::{Deserialize, Serialize};
 
 /// One metric's pair of tests plus the normality diagnostic that motivates
 /// running both.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestPair {
     pub welch: WelchTTest,
     pub mann_whitney: MannWhitney,
@@ -37,7 +36,7 @@ impl TestPair {
 }
 
 /// One city's (or the national) row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessRow {
     pub name: String,
     pub min_rtt: TestPair,
@@ -46,7 +45,7 @@ pub struct RobustnessRow {
 }
 
 /// The robustness table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Robustness {
     pub rows: Vec<RobustnessRow>,
     /// Degradation accounting: corrupt metric values are excluded from both

@@ -10,10 +10,9 @@
 use crate::render::text_table;
 use ndt_conflict::intensity::intensity;
 use ndt_geo::{Front, Oblast};
-use serde::{Deserialize, Serialize};
 
 /// One region's state on the mapped day.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MapCell {
     pub oblast: Oblast,
     pub front: Front,
@@ -21,7 +20,7 @@ pub struct MapCell {
 }
 
 /// The rendered snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityMap {
     /// Day index the snapshot was taken on.
     pub day: i64,

@@ -12,10 +12,9 @@ use crate::error::AnalysisError;
 use crate::render::csv;
 use ndt_conflict::calendar::Date;
 use ndt_stats::DailySeries;
-use serde::{Deserialize, Serialize};
 
 /// One day of the national series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayPoint {
     /// Day index since 2021-01-01.
     pub day: i64,
@@ -26,14 +25,14 @@ pub struct DayPoint {
 }
 
 /// The four panels of Figure 2, for one year's 108-day window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YearSeries {
     pub year: i32,
     pub days: Vec<DayPoint>,
 }
 
 /// Figure 2: both windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NationalTimeline {
     pub y2022: YearSeries,
     pub y2021: YearSeries,

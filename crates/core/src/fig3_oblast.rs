@@ -10,10 +10,9 @@ use crate::error::AnalysisError;
 use crate::render::{csv, pct};
 use ndt_conflict::Period;
 use ndt_geo::{Front, Oblast};
-use serde::{Deserialize, Serialize};
 
 /// One oblast's panel values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OblastChange {
     pub oblast: Oblast,
     pub front: Front,
@@ -25,7 +24,7 @@ pub struct OblastChange {
 }
 
 /// Figure 3: all regions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OblastChanges {
     pub rows: Vec<OblastChange>,
     /// Degradation accounting; regions skipped for having no usable rows in

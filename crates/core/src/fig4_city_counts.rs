@@ -10,11 +10,10 @@ use crate::error::AnalysisError;
 use crate::render::csv;
 use ndt_bq::Value;
 use ndt_conflict::calendar::Date;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Daily counts for the two besieged cities over the 2022 window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityCounts {
     /// Day index → test count (days with zero tests are present as 0).
     pub kharkiv: BTreeMap<i64, usize>,

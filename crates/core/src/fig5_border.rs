@@ -13,11 +13,10 @@ use crate::error::AnalysisError;
 use crate::render::text_table;
 use ndt_conflict::Period;
 use ndt_topology::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One heat-map cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BorderCell {
     pub prewar: usize,
     pub wartime: usize,
@@ -32,7 +31,7 @@ impl BorderCell {
 
 /// Figure 5: the full matrix. Missing cells are the figure's black squares
 /// ("no routes are seen between the two ASes").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BorderMatrix {
     /// (border AS, Ukrainian AS) → cell. BTreeMap keeps rendering stable.
     pub cells: BTreeMap<(Asn, Asn), BorderCell>,

@@ -13,11 +13,10 @@ use ndt_conflict::calendar::Date;
 use ndt_stats::DailySeries;
 use ndt_topology::asn::well_known as wk;
 use ndt_topology::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One week of the case study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeekPoint {
     /// Day index of the week start.
     pub week_start: i64,
@@ -41,7 +40,7 @@ impl WeekPoint {
 }
 
 /// The full Figure 6 series over the 2022 window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct As199995CaseStudy {
     pub weeks: Vec<WeekPoint>,
     /// Degradation accounting: weeks resting on a trickle of traces are
@@ -57,7 +56,7 @@ pub fn compute(data: &StudyData) -> Result<As199995CaseStudy, AnalysisError> {
     let mut ingress: BTreeMap<i64, BTreeMap<Asn, usize>> = BTreeMap::new();
     let mut loss_6663 = DailySeries::new();
     let mut rtt_6663 = DailySeries::new();
-    for r in data.raw.traces.iter().filter(|r| (start..end).contains(&r.day)) {
+    for r in data.traces.iter().filter(|r| (start..end).contains(&r.day)) {
         let Some((border, ua)) = r.border else { continue };
         if ua != wk::AS199995 {
             continue;

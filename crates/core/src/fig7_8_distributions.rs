@@ -11,10 +11,9 @@ use crate::error::AnalysisError;
 use crate::render::csv;
 use ndt_conflict::Period;
 use ndt_stats::{ks_two_sample, Histogram, KsTest};
-use serde::{Deserialize, Serialize};
 
 /// Histograms for the three metrics of one period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricDistributions {
     pub period: Period,
     pub min_rtt: Histogram,
@@ -24,7 +23,7 @@ pub struct MetricDistributions {
 
 /// Figures 7 (prewar) and 8 (wartime), with the KS quantification of the
 /// shift the paper shows visually.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Distributions {
     pub prewar: MetricDistributions,
     pub wartime: MetricDistributions,

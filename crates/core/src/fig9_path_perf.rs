@@ -12,11 +12,10 @@ use crate::error::AnalysisError;
 use crate::render::csv;
 use ndt_conflict::Period;
 use ndt_stats::{pearson, welch_t_test, WelchTTest};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Per-connection measurements across the two 2022 periods.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnDelta {
     /// Wartime unique paths − prewar unique paths.
     pub d_paths: i64,
@@ -27,7 +26,7 @@ pub struct ConnDelta {
 }
 
 /// One bucket of the figure (connections grouped by Δpaths).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathBucket {
     pub d_paths: i64,
     pub connections: usize,
@@ -36,7 +35,7 @@ pub struct PathBucket {
 }
 
 /// Figure 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathPerformance {
     pub connections: Vec<ConnDelta>,
     pub buckets: Vec<PathBucket>,

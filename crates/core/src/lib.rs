@@ -25,8 +25,9 @@
 //! [`dataset::StudyData`] wraps the generated corpus: the
 //! `unified_download`-shaped rows live in an `ndt-bq` table (the §4 analyses
 //! are written as BigQuery-style queries, as in the paper's methodology);
-//! the scamper rows are consumed natively (BigQuery holds scamper data in
-//! nested records, which our columnar stand-in does not model).
+//! the scamper rows ([`dataset::StudyData::traces`]) are consumed natively
+//! (BigQuery holds scamper data in nested records, which our columnar
+//! stand-in does not model).
 //!
 //! Three extension modules implement the paper's stated future work and
 //! self-identified limitations: [`ext_alias`] (router alias resolution vs
@@ -36,8 +37,7 @@
 //! Appendix B's normality concern).
 //!
 //! [`report`] runs everything and renders a plain-text reproduction report;
-//! every result struct also serializes with `serde` and renders CSV series
-//! for external plotting.
+//! the figure results also render CSV series for external plotting.
 //!
 //! The pipeline is panic-free on degraded data: every `compute()` returns
 //! `Result<_, `[`AnalysisError`]`>`, and data-driven results carry a

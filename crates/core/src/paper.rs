@@ -13,10 +13,9 @@
 #![allow(clippy::approx_constant)]
 
 use ndt_conflict::Period;
-use serde::{Deserialize, Serialize};
 
 /// One Table 1 row as printed in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperCityRow {
     pub city: &'static str,
     pub tests_prewar: u32,
@@ -44,7 +43,7 @@ pub const TABLE1: [PaperCityRow; 5] = [
 ];
 
 /// One Table 2 row as printed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperPathRow {
     pub period: Period,
     pub paths_per_conn: f64,
@@ -60,7 +59,7 @@ pub const TABLE2: [PaperPathRow; 4] = [
 ];
 
 /// One Table 3 row as printed (deltas relative, loss multiplicative).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperAsRow {
     pub asn: u32,
     pub name: &'static str,

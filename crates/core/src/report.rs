@@ -9,10 +9,9 @@ use crate::{
     fig6_as199995, fig7_8_distributions, fig9_path_perf, table1_cities, table2_paths, table3_as,
     table4_oblast, table5_6_as_detail,
 };
-use serde::Serialize;
 
 /// Every experiment's result in one struct.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ReproReport {
     pub fig1: crate::fig1_map::ActivityMap,
     pub fig2: fig2_national::NationalTimeline,
@@ -572,11 +571,11 @@ mod tests {
 
     #[test]
     fn table_ab_joins_both_report_paths_for_asymmetric_corpora() {
-        use crate::dataset::test_support::shared_small;
+        use crate::dataset::test_support::small_dataset;
         // Attach a second-country digest (what the pipeline's `country-b`
         // stage does) and check the staged and monolithic paths render the
         // A/B section identically, between the fixed stages and coverage.
-        let mut data = StudyData::from_dataset(shared_small().raw.clone());
+        let mut data = StudyData::from_dataset(small_dataset().clone());
         data.second_country = crate::country::second_country_digest(&ndt_mlab::SimConfig {
             scenario: ndt_mlab::sim::Scenario::ASYMMETRIC,
             ..ndt_mlab::SimConfig::small(1234)

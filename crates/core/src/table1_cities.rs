@@ -14,10 +14,9 @@ use ndt_bq::Query;
 use ndt_conflict::Period;
 use ndt_geo::city::KEY_CITIES;
 use ndt_stats::{welch_t_test, WelchTTest};
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityRow {
     /// City name, or "National" for the aggregate row.
     pub name: String,
@@ -35,7 +34,7 @@ pub struct CityRow {
 }
 
 /// Table 1: the four key cities plus the national row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityTable {
     pub rows: Vec<CityRow>,
     /// Degradation accounting across every slice of the table.

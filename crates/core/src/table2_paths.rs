@@ -12,11 +12,10 @@ use crate::dataset::StudyData;
 use crate::error::AnalysisError;
 use crate::render::text_table;
 use ndt_conflict::Period;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// One period's row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathDiversityRow {
     pub period: Period,
     /// Average distinct IP-level paths per top connection.
@@ -28,7 +27,7 @@ pub struct PathDiversityRow {
 }
 
 /// Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathDiversity {
     pub rows: Vec<PathDiversityRow>,
     /// Degradation accounting: a period left with too few qualifying

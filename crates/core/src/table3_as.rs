@@ -16,11 +16,10 @@ use ndt_conflict::Period;
 use ndt_mlab::Scamper1Row;
 use ndt_stats::{welch_t_test, WelchTTest};
 use ndt_topology::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One AS's row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsChangeRow {
     pub asn: Asn,
     pub name: String,
@@ -40,7 +39,7 @@ pub struct AsChangeRow {
 }
 
 /// Worst-case 2021 fluctuations (the table's last row).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineFluctuation {
     pub d_counts: f64,
     pub d_tput: f64,
@@ -49,7 +48,7 @@ pub struct BaselineFluctuation {
 }
 
 /// Table 3 (plus the underlying per-metric samples living in Tables 5/6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsTable {
     pub rows: Vec<AsChangeRow>,
     pub baseline: BaselineFluctuation,

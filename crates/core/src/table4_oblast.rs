@@ -6,10 +6,9 @@ use crate::error::AnalysisError;
 use crate::render::text_table;
 use ndt_conflict::Period;
 use ndt_geo::Oblast;
-use serde::{Deserialize, Serialize};
 
 /// One period's raw values for a region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OblastCell {
     pub tput_mbps: f64,
     pub min_rtt_ms: f64,
@@ -19,7 +18,7 @@ pub struct OblastCell {
 }
 
 /// One Table 4 row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OblastRow {
     pub oblast: Oblast,
     pub prewar: OblastCell,
@@ -27,7 +26,7 @@ pub struct OblastRow {
 }
 
 /// Table 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OblastTable {
     pub rows: Vec<OblastRow>,
     /// Degradation accounting across every region slice.

@@ -9,10 +9,9 @@ use crate::table3_as;
 use ndt_conflict::Period;
 use ndt_stats::{median, welch_t_test, Summary};
 use ndt_topology::Asn;
-use serde::{Deserialize, Serialize};
 
 /// Mean/median/std triple for one metric (a Table 5 cell group).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spread {
     pub mean: f64,
     pub median: f64,
@@ -27,7 +26,7 @@ impl Spread {
 }
 
 /// One (AS, period) half-row of Table 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsPeriodDetail {
     pub asn: Asn,
     pub period: Period,
@@ -38,7 +37,7 @@ pub struct AsPeriodDetail {
 }
 
 /// One Table 6 row: the p-values per metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsPValues {
     pub asn: Asn,
     pub p_tput: f64,
@@ -47,7 +46,7 @@ pub struct AsPValues {
 }
 
 /// Tables 5 and 6 together (they share the same sample extraction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsDetail {
     pub detail: Vec<AsPeriodDetail>,
     pub p_values: Vec<AsPValues>,
@@ -101,11 +100,6 @@ impl AsDetail {
     /// Detail row lookup.
     pub fn detail_of(&self, asn: Asn, period: Period) -> Option<&AsPeriodDetail> {
         self.detail.iter().find(|d| d.asn == asn && d.period == period)
-    }
-
-    /// P-value row lookup.
-    pub fn p_of(&self, asn: Asn) -> Option<&AsPValues> {
-        self.p_values.iter().find(|p| p.asn == asn)
     }
 
     /// Table 5 rendering.

@@ -9,14 +9,13 @@
 
 use crate::coords::LatLon;
 use crate::oblast::Oblast;
-use serde::{Deserialize, Serialize};
 
 /// Compact identifier for a catalogue city (index into [`CITIES`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CityId(pub u16);
 
 /// A city in the catalogue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct City {
     pub name: &'static str,
     pub oblast: Oblast,

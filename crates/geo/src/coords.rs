@@ -1,9 +1,7 @@
 //! Geographic coordinates and great-circle distance.
 
-use serde::{Deserialize, Serialize};
-
 /// A WGS-84 latitude/longitude pair in decimal degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatLon {
     pub lat: f64,
     pub lon: f64,
@@ -19,11 +17,6 @@ impl LatLon {
         assert!((-90.0..=90.0).contains(&lat), "latitude out of range: {lat}");
         assert!((-180.0..=180.0).contains(&lon), "longitude out of range: {lon}");
         Self { lat, lon }
-    }
-
-    /// Great-circle distance to `other` in kilometres.
-    pub fn distance_km(&self, other: &LatLon) -> f64 {
-        haversine_km(*self, *other)
     }
 }
 

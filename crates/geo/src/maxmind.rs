@@ -22,10 +22,9 @@ use crate::city::{all_cities, City, CityId};
 use crate::coords::LatLon;
 use crate::oblast::Oblast;
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 
 /// Error-model knobs, defaulted to the paper's reported figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoDbConfig {
     /// Probability that a test has no geodata at all (paper: 0.117).
     pub missing_rate: f64,
@@ -47,7 +46,7 @@ impl Default for GeoDbConfig {
 }
 
 /// A geolocation annotation as published with an NDT row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoRecord {
     /// ISO country code; always "UA" for located Ukrainian clients.
     pub country: &'static str,

@@ -8,12 +8,11 @@
 //! ("Kiev City", "L'viv", …).
 
 use crate::coords::LatLon;
-use serde::{Deserialize, Serialize};
 
 /// Military-front classification from the paper's §2 narrative and Figure 1:
 /// the Northern, Eastern and Southern fronts saw direct assault; the West
 /// was largely spared; Crimea and Sevastopol were already occupied in 2014.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Front {
     /// Kyiv axis: assaulted from Belarus/Russia, regained by April 3.
     North,
@@ -30,7 +29,7 @@ pub enum Front {
 }
 
 /// One of the 27 administrative regions in Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Oblast {
     KyivCity,
     Dnipropetrovsk,
@@ -62,7 +61,7 @@ pub enum Oblast {
 }
 
 /// The paper's reported per-period values for one region (Table 4 row half).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperCell {
     /// Mean download throughput in Mbps.
     pub tput_mbps: f64,
@@ -75,7 +74,7 @@ pub struct PaperCell {
 }
 
 /// Static description of a region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OblastInfo {
     pub oblast: Oblast,
     /// The paper's spelling from Table 4.

@@ -7,10 +7,9 @@
 //! sites in; large interconnection hubs host several sites.
 
 use crate::coords::LatLon;
-use serde::{Deserialize, Serialize};
 
 /// A metro that can host one or more M-Lab sites.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorldCity {
     pub name: &'static str,
     /// ISO 3166-1 alpha-2 country code.

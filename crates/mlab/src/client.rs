@@ -20,11 +20,10 @@ use ndt_geo::Oblast;
 use ndt_stats::{LogNormal, Pareto, Sampler};
 use ndt_topology::{Asn, BuiltTopology, Ipv4Addr};
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One NDT client.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Client {
     pub ip: Ipv4Addr,
     pub city: CityId,
@@ -47,7 +46,7 @@ pub struct Client {
 }
 
 /// Population-generation knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientPoolConfig {
     /// Total number of clients at scale 1.
     pub n_clients: usize,

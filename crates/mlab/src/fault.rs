@@ -22,7 +22,6 @@
 //! vocabulary of escalating degradation.
 
 use ndt_topology::Asn;
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64 finalizer — the workspace's standard keyed-coin hash.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
@@ -61,7 +60,7 @@ pub enum Corruption {
 /// A deterministic plan of platform failures, applied on top of a
 /// simulation run. All fields are independent probabilities in `[0, 1]`
 /// except [`FaultPlan::fault_seed`], which keys the coin streams.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the fault coin streams — independent of `SimConfig::seed`,
     /// so the same dataset can be degraded in many different ways.

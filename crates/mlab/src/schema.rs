@@ -3,12 +3,11 @@
 use ndt_bq::{ColType, Table, Value};
 use ndt_geo::{CityId, Oblast};
 use ndt_topology::{Asn, Ipv4Addr};
-use serde::{Deserialize, Serialize};
 
 /// One row of the `ndt.unified_download`-shaped table (§3: "Bigquery table
 /// ndt.unified_download"): a completed NDT download with its TCP_INFO
 /// metrics and MaxMind geo annotation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnifiedDownloadRow {
     /// Day index (days since 2021-01-01).
     pub day: i64,
@@ -37,7 +36,7 @@ pub struct UnifiedDownloadRow {
 /// derived quantities §5 consumes: the IP-path fingerprint (distinct-path
 /// counting), the AS sequence (per-AS attribution) and the border crossing
 /// (Figure 5/6 axes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scamper1Row {
     pub day: i64,
     pub client_ip: Ipv4Addr,
@@ -63,7 +62,7 @@ pub struct Scamper1Row {
 }
 
 /// A generated dataset: both "BigQuery tables".
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// §4's table: downsampled, validated download rows.
     pub ndt: Vec<UnifiedDownloadRow>,

@@ -19,7 +19,6 @@ use ndt_topology::{build_topology, AliasResolver, BuiltTopology, RoutingEngine, 
 use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Scenario selector: a handle into `ndt-scenario`'s registry of specs.
 /// `HISTORICAL` reproduces the paper; the built-in counterfactuals and
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 pub use ndt_scenario::Scenario;
 
 /// Simulation knobs. Defaults reproduce the paper's setting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Master seed; the whole dataset is a pure function of it.
     pub seed: u64,
@@ -367,11 +366,6 @@ impl Simulator {
     /// The client population.
     pub fn pool(&self) -> &ClientPool {
         &self.pool
-    }
-
-    /// The site list / load balancer.
-    pub fn load_balancer(&self) -> &LoadBalancer {
-        &self.lb
     }
 
     /// The worker-thread budget this simulator was built with — `threads`

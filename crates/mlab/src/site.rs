@@ -2,14 +2,13 @@
 
 use ndt_geo::{haversine_km, CityId, LatLon};
 use ndt_topology::{Asn, BuiltTopology, Ipv4Addr};
-use serde::{Deserialize, Serialize};
 
 /// Index of a site in the platform's site list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SiteId(pub u16);
 
 /// One M-Lab site: a measurement server inside a hosting AS at a metro.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Site {
     pub id: SiteId,
     /// Site name: metro slug + index, e.g. "warsaw02".

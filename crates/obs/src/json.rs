@@ -1,7 +1,8 @@
 //! Hand-rolled JSON rendering for the `--metrics` artifact.
 //!
-//! The workspace is offline (no serde_json), so the artifact is written
-//! by hand with a deliberately rigid shape that makes it diffable:
+//! The workspace has no serialization crate (every format it writes is
+//! hand-rolled), so the artifact is written by hand with a deliberately
+//! rigid shape that makes it diffable:
 //!
 //! * top-level keys in fixed order: `format`, `counters`, `gauges`,
 //!   `process`, `spans`, `events`, `events_dropped`;

@@ -287,10 +287,10 @@ pub enum ScanEngine {
 pub(crate) fn read_shard_pair(vfs: &VfsHandle, store_dir: &Path, stem: &str) -> io::Result<Dataset> {
     let unified =
         Shard::open_with(vfs, store_dir.join(unified_name(stem))).map_err(|e| e.into_io())?;
-    let (ndt, _) = scan_unified(&unified, RowFilter::default()).map_err(|e| e.into_io())?;
+    let (ndt, _) = scan_unified(&unified).map_err(|e| e.into_io())?;
     let traces =
         Shard::open_with(vfs, store_dir.join(traces_name(stem))).map_err(|e| e.into_io())?;
-    let (traces, _) = scan_traces(&traces, RowFilter::default()).map_err(|e| e.into_io())?;
+    let (traces, _) = scan_traces(&traces, RowFilter).map_err(|e| e.into_io())?;
     Ok(Dataset { ndt, traces })
 }
 
@@ -461,7 +461,7 @@ fn decode_pair(
         let mut blocked = std::time::Duration::ZERO;
         let unified = Shard::open_with(vfs, store_dir.join(unified_name(stem)))
             .map_err(|e| e.into_io())?;
-        let ustats = scan_unified_batches(&unified, RowFilter::default(), |b| {
+        let ustats = scan_unified_batches(&unified, RowFilter, |b| {
             if b.is_empty() {
                 return;
             }
@@ -479,7 +479,7 @@ fn decode_pair(
         let traces = Shard::open_with(vfs, store_dir.join(traces_name(stem)))
             .map_err(|e| e.into_io())?;
         let (trace_rows, tstats) =
-            scan_traces(&traces, RowFilter::default()).map_err(|e| e.into_io())?;
+            scan_traces(&traces, RowFilter).map_err(|e| e.into_io())?;
         let _ = tx.send(PairMsg::Traces(trace_rows));
         Ok((ustats, tstats))
     };

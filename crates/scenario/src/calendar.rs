@@ -4,14 +4,12 @@
 //! **baseline Jan-Feb 2021**, **baseline Feb-Apr 2021**, **prewar 2022**
 //! (Jan 1 – Feb 23) and **wartime 2022** (Feb 24 – Apr 18).
 
-use serde::{Deserialize, Serialize};
-
 /// Length of each analysis period in days.
 pub const DAYS_PER_PERIOD: i64 = 54;
 
 /// A calendar date (proleptic Gregorian; the study spans 2021–2022, neither
 /// of which is a leap year, but the conversion handles leap years anyway).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Date {
     pub year: i32,
     pub month: u8,
@@ -133,7 +131,7 @@ pub mod dates {
 }
 
 /// The paper's four analysis periods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Period {
     /// 2021-01-01 .. 2021-02-23 (54 days).
     BaselineJanFeb2021,
@@ -167,11 +165,6 @@ impl Period {
             let (s, e) = p.day_range();
             (s..e).contains(&day)
         })
-    }
-
-    /// Whether this is a 2022 period.
-    pub fn is_2022(&self) -> bool {
-        matches!(self, Period::Prewar2022 | Period::Wartime2022)
     }
 
     /// Display label matching the paper's tables.

@@ -1,9 +1,9 @@
 //! Parser for user-authored scenario files (`--scenario-file PATH`).
 //!
 //! The format is line-oriented — one directive per line, `#` comments,
-//! blank lines ignored — because the workspace's `serde` is a no-op
-//! compatibility shim (no real serialization exists to piggyback on).
-//! A file describes edits on top of a base spec:
+//! blank lines ignored — and the parser is hand-rolled, like every format
+//! the workspace reads, since it has no serialization crate. A file
+//! describes edits on top of a base spec:
 //!
 //! ```text
 //! # A milder war that ends with Cogent leaving for good.

@@ -16,6 +16,11 @@
 //! away" — the typed-rejection half of the overload contract survives
 //! the wire.
 //!
+//! The server reads at most [`MAX_REQUEST_LINE`] bytes of a request line.
+//! A longer line gets `ERR failed request line too long` and the
+//! connection closes, so a peer cannot make a connection thread buffer
+//! without bound.
+//!
 //! [`serve_tcp`] accepts with a non-blocking poll so a shutdown flag flip
 //! stops admission promptly; each connection is handled on its own
 //! thread, and every connection thread is joined before [`serve_tcp`]
@@ -37,6 +42,11 @@ const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Accept-poll interval while the listener is idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// Longest request line the server reads, newline included. The longest
+/// valid line, `GET ext_correlation deadline_ms=<u64::MAX>`, is under 64
+/// bytes.
+pub const MAX_REQUEST_LINE: usize = 1024;
 
 /// One wire request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,10 +141,14 @@ fn handle_conn(stream: TcpStream, handle: &ServerHandle) -> io::Result<()> {
     stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut line = Vec::new();
+    (&mut reader).take(MAX_REQUEST_LINE as u64).read_until(b'\n', &mut line)?;
     let mut stream = reader.into_inner();
-    let Some(req) = Request::parse(&line) else {
+    if line.len() == MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+        stream.write_all(b"ERR failed request line too long\n")?;
+        return Ok(());
+    }
+    let Some(req) = std::str::from_utf8(&line).ok().and_then(Request::parse) else {
         stream.write_all(b"ERR failed malformed request line\n")?;
         return Ok(());
     };
@@ -231,6 +245,7 @@ pub fn fetch(addr: &str, req: &Request, timeout: Duration) -> io::Result<Reply> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_lines_round_trip() {
@@ -260,6 +275,51 @@ mod tests {
             assert_eq!(decode_error(&line), Some(err.clone()), "{line}");
         }
         assert_eq!(decode_error("ERR gibberish"), None);
+    }
+
+    /// Pieces a request line is assembled from: the protocol's tokens,
+    /// numbers at the `u64` edge, and the whitespace `trim_end` strips.
+    const PIECES: &[&str] = &[
+        "GET",
+        " ",
+        "deadline_ms=",
+        "fig2",
+        "ext_correlation",
+        "0",
+        "42",
+        "+7",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "=",
+        "\t",
+        "\r",
+        "\n",
+        "\u{85}",
+        "\u{3000}",
+        "é",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary lines never panic the parser, and every line it
+        /// accepts renders back (`to_line`) to a line that parses to the
+        /// same request.
+        #[test]
+        fn parse_never_panics_and_accepted_requests_round_trip(
+            get in 0u8..2,
+            pieces in prop::collection::vec(0usize..PIECES.len(), 0..10),
+            bytes in prop::collection::vec(0u8..=255, 0..8),
+        ) {
+            let mut line = if get == 1 { "GET ".to_string() } else { String::new() };
+            line.extend(pieces.iter().map(|&i| PIECES[i]));
+            line.push_str(&String::from_utf8_lossy(&bytes));
+            if let Some(req) = Request::parse(&line) {
+                let back = Request::parse(&req.to_line());
+                prop_assert_eq!(back, Some(req.clone()), "{:?} parsed to {:?}", line, req);
+            }
+        }
     }
 
     #[test]

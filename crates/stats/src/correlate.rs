@@ -6,8 +6,6 @@
 //! Pearson's r quantifies the linear trend, Spearman's ρ the monotone one,
 //! and [`linear_fit`] produces the trend line drawn through the scatter.
 
-use serde::{Deserialize, Serialize};
-
 /// Pearson product-moment correlation coefficient.
 ///
 /// Returns `NaN` when the slices differ in length, have fewer than two
@@ -67,7 +65,7 @@ pub fn ranks_of(v: &[f64]) -> Vec<f64> {
 }
 
 /// Ordinary least-squares line `y = slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     pub slope: f64,
     pub intercept: f64,

@@ -5,14 +5,12 @@
 //! single pass using Welford's online algorithm, which stays numerically
 //! stable for the small-variance loss-rate columns.
 
-use serde::{Deserialize, Serialize};
-
 /// One-pass moment accumulator (Welford's algorithm).
 ///
 /// Tracks count, mean, unbiased sample variance, minimum and maximum.
 /// Merging two summaries is supported so datasets can be aggregated per-day
 /// and then combined per-period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,

@@ -6,10 +6,8 @@
 //! [`Histogram`] bins a metric over a fixed range with overflow/underflow
 //! buckets, and can report normalized densities for plotting.
 
-use serde::{Deserialize, Serialize};
-
 /// Equal-width histogram over `[lo, hi)` with explicit under/overflow bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -6,10 +6,8 @@
 //! two empirical CDFs, with the classical asymptotic p-value (the
 //! Kolmogorov distribution tail series).
 
-use serde::{Deserialize, Serialize};
-
 /// Result of a two-sample KS test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KsTest {
     /// Supremum distance between the empirical CDFs, in `[0, 1]`.
     pub d: f64,

@@ -8,8 +8,6 @@
 //! asymptotically χ²(2) under normality (giving `p = exp(-JB/2)` exactly
 //! for two degrees of freedom).
 
-use serde::{Deserialize, Serialize};
-
 /// Sample skewness (adjusted Fisher–Pearson, g1 form). `NaN` for fewer
 /// than three values or zero variance.
 pub fn skewness(values: &[f64]) -> f64 {
@@ -43,7 +41,7 @@ pub fn excess_kurtosis(values: &[f64]) -> f64 {
 }
 
 /// Result of the Jarque–Bera normality test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JarqueBera {
     pub skewness: f64,
     pub excess_kurtosis: f64,

@@ -10,12 +10,11 @@
 
 use crate::correlate::ranks_of;
 use crate::special::normal_cdf;
-use serde::{Deserialize, Serialize};
 
 /// Result of a two-sided Mann–Whitney U test (normal approximation with
 /// tie correction — our samples are far larger than the exact-table
 /// regime).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MannWhitney {
     /// The U statistic of the first sample.
     pub u: f64,

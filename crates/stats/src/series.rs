@@ -8,19 +8,18 @@
 //! since 2021-01-01).
 
 use crate::describe::{median, Summary};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Observations grouped by day index.
 ///
 /// Internally a `BTreeMap<i64, Vec<f64>>` so iteration is chronological.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DailySeries {
     days: BTreeMap<i64, Vec<f64>>,
 }
 
 /// One point of a weekly aggregate (as plotted in Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeeklyPoint {
     /// Day index of the first day of the week bucket.
     pub week_start: i64,
@@ -67,11 +66,6 @@ impl DailySeries {
     /// test-count series.
     pub fn daily_counts(&self) -> Vec<(i64, usize)> {
         self.days.iter().map(|(&d, v)| (d, v.len())).collect()
-    }
-
-    /// Chronological `(day, daily median)` pairs.
-    pub fn daily_medians(&self) -> Vec<(i64, f64)> {
-        self.days.iter().map(|(&d, v)| (d, median(v))).collect()
     }
 
     /// Weekly medians with weeks anchored at `anchor_day` (buckets of 7 days

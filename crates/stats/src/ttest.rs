@@ -6,10 +6,9 @@
 
 use crate::describe::Summary;
 use crate::special::student_t_cdf;
-use serde::{Deserialize, Serialize};
 
 /// Result of a two-sided Welch's t-test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WelchTTest {
     /// The t statistic `(mean_a - mean_b) / sqrt(s_a²/n_a + s_b²/n_b)`.
     pub t: f64,

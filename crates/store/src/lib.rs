@@ -22,17 +22,16 @@
 //! * [`page`] — per-column encoded pages: delta+varint for `i64`,
 //!   dictionary-or-raw for unsigned integers, raw bit patterns for
 //!   `f64` (exact NaN round-trip), each payload FNV-1a checksummed under
-//!   a fixed 36-byte header carrying row count, encoding tag and
-//!   pruning statistics;
+//!   a fixed 36-byte header carrying row count, encoding tag and two
+//!   statistics words that the writer fills and no reader consults;
 //! * [`shard`] — shard files (`Header Group* Footer`), streaming
 //!   [`ShardWriter`], structural validation at [`Shard::open`] so
 //!   corruption is detected at open, not mid-scan, plus a deep payload
 //!   sweep ([`Shard::verify_payloads`]) for resume decisions; all reads
 //!   route through an `ndt-vfs` handle ([`Shard::open_with`]) so
 //!   storage faults can be injected deterministically under test;
-//! * [`scan`] — streaming [`Scan`] iterator with column projection and
-//!   group-granular predicate pushdown on day ranges and categorical
-//!   equality;
+//! * [`scan`] — streaming [`Scan`] iterator that decodes, and so
+//!   checksum-verifies, every page of every group;
 //! * [`error`] — typed [`StoreError`] / [`PageError`]; nothing in this
 //!   crate panics on malformed input.
 
@@ -44,7 +43,7 @@ pub mod wire;
 
 pub use error::{PageError, StoreError};
 pub use page::{decode_page, encode_page, ColType, ColumnData, Encoding, PageHeader};
-pub use scan::{Batch, Predicate, Scan, ScanOptions, ScanStats};
+pub use scan::{Batch, Scan, ScanStats};
 pub use shard::{
     ColumnSpec, GroupMeta, PageMeta, Schema, Shard, ShardWriter, WriteStats, DEFAULT_GROUP_ROWS,
 };
@@ -106,14 +105,13 @@ mod tests {
 
         let shard = Shard::open(&path).expect("opens");
         assert_eq!(shard.rows(), 6);
-        let batches: Vec<Batch> = Scan::new(&shard, ScanOptions::default())
+        let batches: Vec<Batch> = Scan::new(&shard)
             .expect("scan opens")
             .collect::<Result<_, _>>()
             .expect("scan succeeds");
         assert_eq!(batches.len(), 2);
         for (want, got) in [g1, g2].iter().zip(&batches) {
             for (w, g) in want.iter().zip(&got.columns) {
-                let g = g.as_ref().expect("full projection");
                 match (w, g) {
                     (ColumnData::F64(a), ColumnData::F64(b)) => {
                         let a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
@@ -124,75 +122,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn pushdown_skips_groups_without_reading() {
-        let dir = std::env::temp_dir().join("ndt-store-test-pushdown");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("pd.ndts");
-        let g1 = group(&[0, 1], &[1, 1], &[1, 1], &[0.0, 0.0]);
-        let g2 = group(&[10, 11], &[2, 2], &[2, 2], &[0.0, 0.0]);
-        write_shard(&path, &[g1, g2]);
-        let shard = Shard::open(&path).expect("opens");
-
-        let opts = ScanOptions {
-            columns: None,
-            predicates: vec![Predicate::I64Range { column: "day".into(), lo: 10, hi: 12 }],
-        };
-        let mut scan = Scan::new(&shard, opts).expect("scan opens");
-        let batches: Vec<Batch> =
-            scan.by_ref().collect::<Result<_, _>>().expect("scan succeeds");
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].group, 1);
-        let stats = scan.stats();
-        assert_eq!(stats.groups_skipped, 1);
-        assert_eq!(stats.groups_scanned, 1);
-
-        let opts = ScanOptions {
-            columns: Some(vec!["asn".into()]),
-            predicates: vec![Predicate::U32Eq { column: "asn".into(), value: 1 }],
-        };
-        let mut scan = Scan::new(&shard, opts).expect("scan opens");
-        let batches: Vec<Batch> =
-            scan.by_ref().collect::<Result<_, _>>().expect("scan succeeds");
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].group, 0);
-        assert!(batches[0].column(0).is_none(), "day not projected");
-        assert!(batches[0].column(1).is_some(), "asn projected");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn dict_membership_prunes_mask_false_positives() {
-        let dir = std::env::temp_dir().join("ndt-store-test-dictprune");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("dp.ndts");
-        // 65 & 63 == 1 & 63: both values set presence-mask bit 1, so the
-        // tier-1 mask cannot tell them apart. Tier-2 reads the sorted
-        // dictionary prefix and proves 1 is absent from group 0.
-        let g1 = group(&[0, 1], &[65, 65], &[1, 1], &[0.0, 0.0]);
-        let g2 = group(&[2, 3], &[1, 1], &[2, 2], &[0.0, 0.0]);
-        write_shard(&path, &[g1, g2]);
-        let shard = Shard::open(&path).expect("opens");
-
-        let opts = ScanOptions {
-            columns: Some(vec!["asn".into()]),
-            predicates: vec![Predicate::U32Eq { column: "asn".into(), value: 1 }],
-        };
-        let mut scan = Scan::new(&shard, opts).expect("scan opens");
-        let batches: Vec<Batch> =
-            scan.by_ref().collect::<Result<_, _>>().expect("scan succeeds");
-        assert_eq!(batches.len(), 1, "mask false positive must be pruned by tier 2");
-        assert_eq!(batches[0].group, 1);
-        let stats = scan.stats();
-        assert_eq!(stats.groups_skipped, 0, "the mask alone cannot prune either group");
-        assert_eq!(stats.groups_pruned_dict, 1);
-        assert_eq!(stats.groups_scanned, 1);
-        assert_eq!(stats.rows_pruned, 2);
-        assert_eq!(stats.rows_emitted, 2);
-        assert_eq!(stats.pages_skipped, 1, "one projected page never decoded");
         std::fs::remove_file(&path).ok();
     }
 
@@ -233,7 +162,7 @@ mod tests {
         std::fs::write(&path, &bytes).expect("write corrupted");
         let shard = Shard::open(&path).expect("structure still validates");
         let result: Result<Vec<Batch>, StoreError> =
-            Scan::new(&shard, ScanOptions::default()).expect("scan opens").collect();
+            Scan::new(&shard).expect("scan opens").collect();
         let err = result.expect_err("corrupt payload must fail decode");
         assert!(
             matches!(
@@ -257,8 +186,8 @@ mod tests {
         write_shard(&path, &[group(&[0, 1, 2], &[1, 2, 3], &[4, 5, 6], &[0.5, 0.25, 0.125])]);
 
         // A flipped byte must surface as a typed StoreError — never a
-        // panic — unless it lands in a page header's pruning statistics,
-        // the one region the checksums deliberately don't cover. Sweep
+        // panic — unless it lands in a page header's statistics words,
+        // the one region no checksum covers (and no reader consults). Sweep
         // seeds so the flip visits several offsets; most must be caught.
         let mut caught = 0;
         for seed in 1..=8u64 {
@@ -269,8 +198,7 @@ mod tests {
             });
             let outcome = Shard::open_with(&vfs, &path).and_then(|s| {
                 s.verify_payloads()?;
-                Scan::new(&s, ScanOptions::default())?
-                    .collect::<Result<Vec<Batch>, StoreError>>()?;
+                Scan::new(&s)?.collect::<Result<Vec<Batch>, StoreError>>()?;
                 Ok(())
             });
             caught += outcome.is_err() as usize;

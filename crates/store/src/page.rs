@@ -18,8 +18,14 @@
 //! The header is fixed-shape on purpose: a reader can validate a shard's
 //! structure by hopping header-to-header without decoding any payload,
 //! and a torn write is caught by `len` overrunning the file. The payload
-//! checksum is verified lazily at decode time so scans that skip a group
-//! via `stat_a`/`stat_b` never touch its bytes.
+//! checksum is verified at decode time.
+//!
+//! No reader consults `stat_a`/`stat_b`: every scan decodes every page.
+//! The writer still fills them because they are part of format version
+//! 1; dropping or zeroing them would change every shard byte, every store
+//! fingerprint and the store's size, for no reader. They are the one
+//! header region no checksum covers, which is harmless while nothing
+//! reads them.
 
 use crate::error::PageError;
 use crate::wire::{self, Reader};
@@ -165,9 +171,10 @@ pub struct PageHeader {
     /// FNV-1a over the payload.
     pub checksum: u64,
     /// Encoding-specific statistic: minimum (as `u64` bit pattern) for
-    /// `DeltaVarint`, 64-bit presence mask for integer encodings.
+    /// `DeltaVarint`, 64-bit presence mask for integer encodings. Written,
+    /// never read (see the module docs).
     pub stat_a: u64,
-    /// Encoding-specific statistic: maximum value.
+    /// Encoding-specific statistic: maximum value. Written, never read.
     pub stat_b: u64,
 }
 
@@ -222,16 +229,10 @@ impl EncodedPage {
         wire::put_u64(out, self.stat_b);
         out.extend_from_slice(&self.payload);
     }
-
-    /// Total on-disk size: header plus payload.
-    pub fn disk_size(&self) -> usize {
-        PAGE_HEADER_LEN + self.payload.len()
-    }
 }
 
 /// Statistics for an `i64` page: `(min, max)` as `u64` bit patterns, with
-/// the empty-page convention `min = i64::MAX`, `max = i64::MIN` so any
-/// range predicate skips an empty group.
+/// the empty-page convention `min = i64::MAX`, `max = i64::MIN`.
 fn i64_stats(values: &[i64]) -> (u64, u64) {
     let mut min = i64::MAX;
     let mut max = i64::MIN;
@@ -243,8 +244,7 @@ fn i64_stats(values: &[i64]) -> (u64, u64) {
 }
 
 /// Statistics for an unsigned page: 64-bit presence mask (`1 << (v & 63)`
-/// OR-ed over all values) and maximum value. An equality predicate can
-/// skip a group when its value's mask bit is unset or exceeds the max.
+/// OR-ed over all values) and maximum value.
 fn unsigned_stats(values: impl Iterator<Item = u64>) -> (u64, u64) {
     let mut mask = 0u64;
     let mut max = 0u64;
@@ -362,40 +362,6 @@ pub fn encode_page(data: &ColumnData) -> EncodedPage {
             finish(Encoding::F64Raw, values.len(), 0, 0, payload)
         }
     }
-}
-
-/// Decodes only the sorted-unique dictionary prefix of a `Dict`-encoded
-/// page, without touching the per-row codes. Returns `Ok(None)` when the
-/// page uses a non-dictionary encoding. The checksum is verified first —
-/// pruning decisions must never be taken on rotten bytes.
-///
-/// This is the second pushdown tier between header statistics and full
-/// decode: binary-searching a needle in the prefix gives an *exact*
-/// membership answer for the whole group in O(distinct values) work,
-/// where the presence mask's 64-bit hash can only say "maybe".
-pub fn decode_dict_prefix(header: &PageHeader, payload: &[u8]) -> Result<Option<Vec<u64>>, PageError> {
-    let encoding = Encoding::from_tag(header.encoding).ok_or(PageError::Encoding(header.encoding))?;
-    if encoding != Encoding::Dict {
-        return Ok(None);
-    }
-    let got = wire::fnv1a64(payload);
-    if got != header.checksum {
-        return Err(PageError::Checksum { want: header.checksum, got });
-    }
-    let rows = header.rows as usize;
-    let mut r = Reader::new(payload);
-    let dict_len = r.uvarint("dict len")? as usize;
-    if dict_len > rows {
-        return Err(PageError::Decode(crate::wire::CodecError::InvalidValue {
-            what: "dict len",
-            value: dict_len as u64,
-        }));
-    }
-    let mut dict = Vec::with_capacity(dict_len);
-    for _ in 0..dict_len {
-        dict.push(r.uvarint("dict value")?);
-    }
-    Ok(Some(dict))
 }
 
 /// Decodes a page payload back into column values, verifying the

@@ -1,227 +1,57 @@
 //! Streaming scans: iterate a shard group-by-group without ever holding
 //! more than one row group's decoded columns in memory.
 //!
-//! A [`Scan`] walks the groups validated by [`Shard::open`], skipping any
-//! group the pushdown tiers prove irrelevant, and decodes only the
-//! projected columns of the groups that survive. Pruning runs in two
-//! tiers of increasing cost:
-//!
-//! 1. **Header statistics** (free — no payload bytes touched): day-range
-//!    pruning via per-page min/max, categorical equality pruning via a
-//!    64-bit presence mask.
-//! 2. **Dictionary membership** (O(distinct values) — reads the predicate
-//!    column's payload but decodes only its sorted dictionary prefix):
-//!    for `U32Eq` predicates on dict-encoded pages, a binary search gives
-//!    an *exact* answer where the presence mask can only say "maybe".
-//!
-//! Pushdown is **group-granular**: a surviving batch still contains every
-//! row of its group, and exact row filtering is the caller's job (the
-//! typed decode layer in `ndt-mlab::columnar` does this for the corpus
-//! schemas). Groups skipped by tier 1 are never read from disk, so their
-//! payload checksums are not verified; tier 2 verifies the checksum of
-//! the one payload it reads, and decoded pages always are.
+//! A [`Scan`] walks the groups validated by [`Shard::open`] in file
+//! order and decodes every page of every group, so each payload checksum
+//! is verified on the way: a scan that finishes has read the whole shard
+//! and found it intact. Every consumer reads whole tables (the analyses
+//! filter in memory, as the paper's queries do), so there is no
+//! projection and no group pruning.
 
 use std::io::{BufReader, Read, Seek, SeekFrom};
 
 use ndt_vfs::VfsFile;
 
 use crate::error::StoreError;
-use crate::page::{decode_dict_prefix, decode_page, ColType, ColumnData};
-use crate::shard::{GroupMeta, Shard};
-
-/// A group-level pruning predicate.
-#[derive(Debug, Clone)]
-pub enum Predicate {
-    /// Keep groups that may contain a row with `lo <= column < hi`.
-    /// The column must be a non-aux `I64` column.
-    I64Range {
-        /// Column name.
-        column: String,
-        /// Inclusive lower bound.
-        lo: i64,
-        /// Exclusive upper bound.
-        hi: i64,
-    },
-    /// Keep groups that may contain a row with `column == value`.
-    /// The column must be a non-aux `U32` column.
-    U32Eq {
-        /// Column name.
-        column: String,
-        /// Value to match.
-        value: u32,
-    },
-}
-
-impl Predicate {
-    fn column(&self) -> &str {
-        match self {
-            Predicate::I64Range { column, .. } | Predicate::U32Eq { column, .. } => column,
-        }
-    }
-}
-
-/// What a [`Scan`] should read and which groups it may prune.
-#[derive(Debug, Clone, Default)]
-pub struct ScanOptions {
-    /// Columns to decode, by name; `None` decodes every column.
-    /// Projection affects decoding only — predicate columns need not be
-    /// projected.
-    pub columns: Option<Vec<String>>,
-    /// Group-pruning predicates, AND-ed together.
-    pub predicates: Vec<Predicate>,
-}
+use crate::page::{decode_page, ColumnData};
+use crate::shard::Shard;
 
 /// Counters describing what a finished (or in-progress) scan did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Groups whose pages were decoded and emitted.
     pub groups_scanned: u64,
-    /// Groups pruned by header statistics without touching their payload.
-    pub groups_skipped: u64,
-    /// Groups pruned by exact dictionary membership (tier 2): the
-    /// predicate column's payload was read and checksum-verified, its
-    /// dictionary prefix decoded, and the needle proven absent.
-    pub groups_pruned_dict: u64,
     /// Pages decoded (checksum-verified).
     pub pages_decoded: u64,
-    /// Projected pages never decoded because their group was pruned.
-    pub pages_skipped: u64,
     /// Non-aux rows emitted across all batches.
     pub rows_emitted: u64,
-    /// Non-aux rows in pruned groups — rows proven irrelevant without
-    /// decoding them.
-    pub rows_pruned: u64,
     /// Payload bytes read from disk.
     pub bytes_read: u64,
 }
 
-impl ScanStats {
-    /// Folds another scan's counters into this one (per-shard stats
-    /// summed across a multi-shard scan).
-    pub fn merge(&mut self, other: &ScanStats) {
-        self.groups_scanned += other.groups_scanned;
-        self.groups_skipped += other.groups_skipped;
-        self.groups_pruned_dict += other.groups_pruned_dict;
-        self.pages_decoded += other.pages_decoded;
-        self.pages_skipped += other.pages_skipped;
-        self.rows_emitted += other.rows_emitted;
-        self.rows_pruned += other.rows_pruned;
-        self.bytes_read += other.bytes_read;
-    }
-}
-
-/// One row group's decoded columns.
+/// One row group's decoded columns; a [`Scan`] yields them in file order.
 #[derive(Debug)]
 pub struct Batch {
-    /// Zero-based index of the source group in the shard.
-    pub group: usize,
     /// Non-aux row count of the group.
     pub rows: u32,
-    /// One slot per schema column, in schema order; `None` for columns
-    /// outside the projection.
-    pub columns: Vec<Option<ColumnData>>,
-}
-
-impl Batch {
-    /// The decoded data of a column by schema index, if projected.
-    pub fn column(&self, idx: usize) -> Option<&ColumnData> {
-        self.columns.get(idx).and_then(|c| c.as_ref())
-    }
-}
-
-/// Compiled predicate: schema column index plus the test.
-enum CompiledPred {
-    I64Range { col: usize, lo: i64, hi: i64 },
-    U32Eq { col: usize, value: u32 },
-}
-
-impl CompiledPred {
-    /// True when the group's page statistics prove no row can match.
-    fn prunes(&self, group: &GroupMeta) -> bool {
-        match *self {
-            CompiledPred::I64Range { col, lo, hi } => {
-                let h = &group.pages[col].header;
-                let min = h.stat_a as i64;
-                let max = h.stat_b as i64;
-                max < lo || min >= hi
-            }
-            CompiledPred::U32Eq { col, value } => {
-                let h = &group.pages[col].header;
-                let mask = h.stat_a;
-                let max = h.stat_b;
-                mask & (1u64 << (value as u64 & 63)) == 0 || value as u64 > max
-            }
-        }
-    }
+    /// One decoded page per schema column, in schema order.
+    pub columns: Vec<ColumnData>,
 }
 
 /// Iterator of [`Batch`]es over one shard. Create with [`Scan::new`];
-/// each call to `next` yields the next surviving group.
+/// each call to `next` yields the next group.
 pub struct Scan<'a> {
     shard: &'a Shard,
     reader: BufReader<Box<dyn VfsFile>>,
     pos: u64,
     next_group: usize,
-    /// Schema indices to decode; always sorted ascending.
-    projection: Vec<usize>,
-    predicates: Vec<CompiledPred>,
     stats: ScanStats,
     payload_buf: Vec<u8>,
 }
 
 impl<'a> Scan<'a> {
-    /// Opens a scan over `shard`, validating projection and predicate
-    /// columns against the schema.
-    pub fn new(shard: &'a Shard, options: ScanOptions) -> Result<Self, StoreError> {
-        let schema = shard.schema();
-        let projection: Vec<usize> = match &options.columns {
-            None => (0..schema.columns.len()).collect(),
-            Some(names) => {
-                let mut idx = Vec::with_capacity(names.len());
-                for name in names {
-                    let i = schema.col_index(name).ok_or_else(|| {
-                        StoreError::Schema(format!("projected column {name:?} not in schema"))
-                    })?;
-                    idx.push(i);
-                }
-                idx.sort_unstable();
-                idx.dedup();
-                idx
-            }
-        };
-        let mut predicates = Vec::with_capacity(options.predicates.len());
-        for pred in &options.predicates {
-            let name = pred.column();
-            let col = schema.col_index(name).ok_or_else(|| {
-                StoreError::Schema(format!("predicate column {name:?} not in schema"))
-            })?;
-            let spec = &schema.columns[col];
-            if spec.aux {
-                return Err(StoreError::Schema(format!(
-                    "predicate column {name:?} is an aux column"
-                )));
-            }
-            match pred {
-                Predicate::I64Range { lo, hi, .. } => {
-                    if spec.ty != ColType::I64 {
-                        return Err(StoreError::Schema(format!(
-                            "range predicate on {name:?} needs I64, column is {:?}",
-                            spec.ty
-                        )));
-                    }
-                    predicates.push(CompiledPred::I64Range { col, lo: *lo, hi: *hi });
-                }
-                Predicate::U32Eq { value, .. } => {
-                    if spec.ty != ColType::U32 {
-                        return Err(StoreError::Schema(format!(
-                            "equality predicate on {name:?} needs U32, column is {:?}",
-                            spec.ty
-                        )));
-                    }
-                    predicates.push(CompiledPred::U32Eq { col, value: *value });
-                }
-            }
-        }
+    /// Opens a scan over every group and column of `shard`.
+    pub fn new(shard: &'a Shard) -> Result<Self, StoreError> {
         // Reuse the shard's VFS: a shard opened under fault injection
         // keeps its faults (bit rot in particular) when scanned.
         let reader = BufReader::new(shard.vfs().open(shard.path())?);
@@ -230,8 +60,6 @@ impl<'a> Scan<'a> {
             reader,
             pos: 0,
             next_group: 0,
-            projection,
-            predicates,
             stats: ScanStats::default(),
             payload_buf: Vec::new(),
         })
@@ -261,13 +89,10 @@ impl<'a> Scan<'a> {
     }
 
     fn decode_group(&mut self, group_idx: usize) -> Result<Batch, StoreError> {
-        let group = &self.shard.groups()[group_idx];
-        let rows = group.rows;
+        let rows = self.shard.groups()[group_idx].rows;
         let ncols = self.shard.schema().columns.len();
-        let mut columns: Vec<Option<ColumnData>> = Vec::with_capacity(ncols);
-        columns.resize_with(ncols, || None);
-        for pi in 0..self.projection.len() {
-            let col = self.projection[pi];
+        let mut columns = Vec::with_capacity(ncols);
+        for col in 0..ncols {
             let meta = self.shard.groups()[group_idx].pages[col];
             let ty = self.shard.schema().columns[col].ty;
             self.read_payload(meta.payload_offset, meta.header.len as usize)?;
@@ -280,47 +105,11 @@ impl<'a> Scan<'a> {
                 }
             })?;
             self.stats.pages_decoded += 1;
-            columns[col] = Some(data);
+            columns.push(data);
         }
         self.stats.groups_scanned += 1;
         self.stats.rows_emitted += rows as u64;
-        Ok(Batch { group: group_idx, rows, columns })
-    }
-
-    /// Tier-2 pruning: for each `U32Eq` predicate whose page in this
-    /// group is dictionary-encoded, read just the payload and decode the
-    /// sorted dictionary prefix; an absent needle proves no row matches.
-    /// Non-dict pages (raw encoding) answer "maybe" and fall through to
-    /// the full decode.
-    fn dict_prunes(&mut self, group_idx: usize) -> Result<bool, StoreError> {
-        for pi in 0..self.predicates.len() {
-            let CompiledPred::U32Eq { col, value } = self.predicates[pi] else {
-                continue;
-            };
-            let meta = self.shard.groups()[group_idx].pages[col];
-            self.read_payload(meta.payload_offset, meta.header.len as usize)?;
-            self.stats.bytes_read += meta.header.len as u64;
-            let dict = decode_dict_prefix(&meta.header, &self.payload_buf).map_err(|error| {
-                StoreError::Page {
-                    column: self.shard.schema().columns[col].name.clone(),
-                    group: group_idx,
-                    error,
-                }
-            })?;
-            if let Some(dict) = dict {
-                if dict.binary_search(&(value as u64)).is_err() {
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    /// Records a pruned group's cheap-to-know counters.
-    fn count_pruned(&mut self, group_idx: usize) {
-        let group = &self.shard.groups()[group_idx];
-        self.stats.pages_skipped += self.projection.len() as u64;
-        self.stats.rows_pruned += group.rows as u64;
+        Ok(Batch { rows, columns })
     }
 }
 
@@ -328,26 +117,11 @@ impl Iterator for Scan<'_> {
     type Item = Result<Batch, StoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.next_group < self.shard.groups().len() {
-            let idx = self.next_group;
-            self.next_group += 1;
-            let group = &self.shard.groups()[idx];
-            if self.predicates.iter().any(|p| p.prunes(group)) {
-                self.stats.groups_skipped += 1;
-                self.count_pruned(idx);
-                continue;
-            }
-            match self.dict_prunes(idx) {
-                Err(e) => return Some(Err(e)),
-                Ok(true) => {
-                    self.stats.groups_pruned_dict += 1;
-                    self.count_pruned(idx);
-                    continue;
-                }
-                Ok(false) => {}
-            }
-            return Some(self.decode_group(idx));
+        let idx = self.next_group;
+        if idx >= self.shard.groups().len() {
+            return None;
         }
-        None
+        self.next_group += 1;
+        Some(self.decode_group(idx))
     }
 }

@@ -43,8 +43,8 @@ pub const GROUP_MARKER: u8 = 1;
 pub const FOOTER_MARKER: u8 = 0;
 
 /// Rows per group the writers aim for. Large enough to amortize the
-/// 36-byte page headers, small enough that a skipped group saves real
-/// decode work.
+/// 36-byte page headers, small enough that one decoded group (a scan's
+/// whole working set) stays small.
 pub const DEFAULT_GROUP_ROWS: usize = 4096;
 
 /// One column's declaration in a shard schema.
@@ -90,11 +90,6 @@ impl Schema {
             )));
         }
         Ok(Self { table: table.to_string(), columns })
-    }
-
-    /// Index of the named column.
-    pub fn col_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -275,8 +270,8 @@ pub struct GroupMeta {
 /// header parsed, every payload length checked against the file, the
 /// footer's row/group counts and checksum-of-checksums verified — so a
 /// truncated or bit-flipped shard is rejected here, not mid-scan.
-/// Payload checksums are verified later, when (and only when) a scan
-/// actually decodes the page.
+/// Payload checksums are verified later: by a scan, as it decodes each
+/// page, or by [`Shard::verify_payloads`] without decoding.
 #[derive(Debug, Clone)]
 pub struct Shard {
     path: PathBuf,
@@ -505,10 +500,10 @@ impl Shard {
 
     /// Reads every page payload and verifies its FNV-1a checksum against
     /// the page header — the deep counterpart to [`Shard::open`]'s
-    /// structural pass. One sequential sweep, no decoding. Scans verify
-    /// lazily (only the pages they decode), so use this when an existing
-    /// file must be trusted *in full* before anything reads it — e.g.
-    /// shard-level resume deciding whether to regenerate.
+    /// structural pass. One sequential sweep, no decoding. A full scan
+    /// verifies the same checksums as it decodes; use this when a file
+    /// must be trusted *in full* without decoding it — e.g. shard-level
+    /// resume deciding whether to regenerate.
     pub fn verify_payloads(&self) -> Result<(), StoreError> {
         let file = self.vfs.open(&self.path)?;
         let mut reader = BufReader::new(file);

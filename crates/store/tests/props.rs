@@ -219,51 +219,3 @@ fn unknown_encoding_tag_is_typed_error() {
     let err = decode_page(&header, &page.payload, ColType::I64).expect_err("unknown tag");
     assert!(matches!(err, PageError::Encoding(99)), "got {err:?}");
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The dictionary-prefix decode agrees exactly with the full decode:
-    /// for dict-encoded pages it returns the sorted distinct value set
-    /// (so membership answers match row-level truth), and for raw pages
-    /// it returns `None` instead of guessing.
-    #[test]
-    fn dict_prefix_matches_full_decode(
-        distinct in 1usize..16,
-        picks in prop::collection::vec(0u64..1_000_000, 1..300),
-    ) {
-        use ndt_store::page::decode_dict_prefix;
-        let pool: Vec<u32> = (0..distinct as u32).map(|i| i * 977 + 3).collect();
-        let values: Vec<u32> = picks.iter().map(|&p| pool[(p as usize) % pool.len()]).collect();
-        let data = ColumnData::U32(values.clone());
-        let page = encode_page(&data);
-        let prefix = decode_dict_prefix(&header_of(&page), &page.payload)
-            .expect("prefix decode never errors on a clean page");
-        match (page.encoding, prefix) {
-            (Encoding::Dict, Some(dict)) => {
-                let mut want: Vec<u64> = values.iter().map(|&v| v as u64).collect();
-                want.sort_unstable();
-                want.dedup();
-                prop_assert_eq!(dict, want);
-            }
-            (Encoding::Dict, None) => prop_assert!(false, "dict page must yield a prefix"),
-            (_, p) => prop_assert!(p.is_none(), "non-dict page must yield None"),
-        }
-    }
-
-    /// A corrupted payload byte makes the prefix decode fail with a typed
-    /// checksum error — pruning never consults rotten statistics.
-    #[test]
-    fn dict_prefix_rejects_corruption(byte in 0usize..64, flip in 1u8..255) {
-        use ndt_store::page::decode_dict_prefix;
-        let data = ColumnData::U32(vec![7; 64]);
-        let page = encode_page(&data);
-        prop_assert_eq!(page.encoding, Encoding::Dict);
-        let mut payload = page.payload.clone();
-        let idx = byte % payload.len();
-        payload[idx] ^= flip;
-        let err = decode_dict_prefix(&header_of(&page), &payload)
-            .expect_err("corrupt payload must not prune");
-        prop_assert!(matches!(err, PageError::Checksum { .. }), "got {err:?}");
-    }
-}

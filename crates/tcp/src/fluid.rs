@@ -11,10 +11,9 @@
 
 use crate::model::{CongestionControl, BBR_LOSS_KNEE, MSS_BYTES};
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a fluid-simulated transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FluidOutcome {
     /// Goodput over the whole transfer, Mbps.
     pub mean_tput_mbps: f64,

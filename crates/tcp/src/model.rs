@@ -1,14 +1,12 @@
 //! Steady-state congestion-control response functions.
 
-use serde::{Deserialize, Serialize};
-
 /// Which congestion controller the NDT server runs.
 ///
 /// The paper (§3): "Earlier versions of NDT (e.g. NDT5) used TCP Reno or
 /// Cubic with the current version (NDT7) using BBR if available", and the
 /// algorithm was stable over 2021–2022. The simulator pins BBR to match the
 /// studied window; CUBIC is kept for the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CongestionControl {
     Bbr,
     Cubic,

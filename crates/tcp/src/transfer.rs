@@ -3,10 +3,9 @@
 use crate::model::{bbr_rate_mbps, cubic_rate_mbps, CongestionControl};
 use ndt_stats::{LogNormal, Normal, Sampler};
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 
 /// End-to-end characteristics of the path a transfer runs over.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathCharacteristics {
     /// Base round-trip time in milliseconds (propagation, no queueing).
     pub base_rtt_ms: f64,
@@ -30,7 +29,7 @@ impl PathCharacteristics {
 }
 
 /// Transfer parameters (NDT7 defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferConfig {
     pub cca: CongestionControl,
     /// Nominal test duration in seconds (NDT runs ~10 s).
@@ -48,7 +47,7 @@ impl Default for TransferConfig {
 
 /// The statistics NDT publishes from `TCP_INFO` after a download
 /// (the three columns of the paper's Tables 1 and 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpInfoStats {
     /// Mean goodput over the transfer, Mbps.
     pub mean_tput_mbps: f64,

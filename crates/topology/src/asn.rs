@@ -14,10 +14,9 @@
 //! synthesized deterministically by the topology builder.
 
 use ndt_geo::Oblast;
-use serde::{Deserialize, Serialize};
 
 /// An autonomous system number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Asn(pub u32);
 
 impl std::fmt::Display for Asn {
@@ -27,7 +26,7 @@ impl std::fmt::Display for Asn {
 }
 
 /// Role of an AS in the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsKind {
     /// Ukrainian access/eyeball network; NDT clients live here.
     UkrEyeball,
@@ -43,7 +42,7 @@ pub enum AsKind {
 }
 
 /// Catalogue entry for one AS.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsInfo {
     pub asn: Asn,
     pub name: String,
@@ -94,7 +93,7 @@ pub mod well_known {
 }
 
 /// The full AS catalogue for one topology instance.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AsCatalog {
     entries: Vec<AsInfo>,
 }

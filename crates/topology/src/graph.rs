@@ -21,19 +21,18 @@
 
 use crate::asn::{AsCatalog, AsInfo, Asn};
 use crate::ip::{Ipv4Addr, Prefix, PrefixTable};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Index of a router in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RouterId(pub u32);
 
 /// Index of an inter-AS link in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 /// A router interface participating in inter-AS links.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Router {
     pub id: RouterId,
     pub asn: Asn,
@@ -43,7 +42,7 @@ pub struct Router {
 }
 
 /// BGP relationship of link side `a` towards side `b`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relationship {
     /// `a` buys transit from `b` (`b` is `a`'s provider).
     CustomerToProvider,
@@ -65,7 +64,7 @@ impl Relationship {
 }
 
 /// Mutable state of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkState {
     pub up: bool,
     /// Additive extra loss probability from damage (0 when healthy).
@@ -86,7 +85,7 @@ impl Default for LinkState {
 /// traceroutes record interfaces, not routers, which is why IP-level path
 /// counting can overcount — the alias-resolution extension (paper §5.1
 /// future work) exists to undo exactly this.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     pub id: LinkId,
     pub a: RouterId,
@@ -147,7 +146,7 @@ impl Link {
 }
 
 /// The complete network model.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     pub catalog: AsCatalog,
     routers: Vec<Router>,

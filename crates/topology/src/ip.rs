@@ -6,11 +6,10 @@
 //! a longest-prefix (here: containing-range) lookup.
 
 use crate::asn::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An IPv4 address as a plain `u32` (network byte order semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4Addr(pub u32);
 
 impl std::fmt::Display for Ipv4Addr {
@@ -28,7 +27,7 @@ impl Ipv4Addr {
 }
 
 /// A CIDR prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Prefix {
     pub base: Ipv4Addr,
     pub len: u8,
@@ -80,7 +79,7 @@ impl std::fmt::Display for Prefix {
 
 /// Maps prefixes to origin ASes (disjoint prefixes; the builder guarantees
 /// disjointness, and [`PrefixTable::insert`] enforces it).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PrefixTable {
     /// Keyed by prefix base address; disjointness makes a flat map enough.
     by_base: BTreeMap<u32, (Prefix, Asn)>,

@@ -3,11 +3,10 @@
 use crate::asn::{AsCatalog, Asn};
 use crate::graph::{LinkId, RouterId, Topology};
 use crate::ip::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 
 /// A server→client forwarding path: an ordered sequence of inter-AS links,
 /// with derived AS sequence, router sequence and end-to-end metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Path {
     /// AS sequence from the M-Lab host AS down to the client's access AS.
     pub as_seq: Vec<Asn>,

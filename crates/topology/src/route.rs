@@ -116,11 +116,6 @@ impl RoutingEngine {
         &self.config
     }
 
-    /// Drops cached candidates (useful between scenario years).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Selects a concrete path for one test from `src` (M-Lab host AS) to
     /// `dst` (client access AS). Returns `None` when the destination is
     /// unreachable under current link state.

@@ -10,10 +10,9 @@ use crate::graph::Topology;
 use crate::ip::Ipv4Addr;
 use crate::path::Path;
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 
 /// One traceroute hop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracerouteHop {
     pub ip: Ipv4Addr,
     /// Origin AS of the hop address (from the prefix table).
@@ -23,7 +22,7 @@ pub struct TracerouteHop {
 }
 
 /// A complete traceroute from an M-Lab server toward a client.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Traceroute {
     pub hops: Vec<TracerouteHop>,
 }

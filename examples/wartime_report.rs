@@ -16,7 +16,7 @@ fn main() {
     eprintln!(
         "  {} unified rows, {} traceroutes in {:.1?}",
         data.unified_len(),
-        data.raw.traces.len(),
+        data.traces.len(),
         t0.elapsed()
     );
     let report = full_report(&data).expect("clean corpus computes");

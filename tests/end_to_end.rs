@@ -122,9 +122,9 @@ fn finding_7_path_churn_correlates_mildly_with_degradation() {
 #[test]
 fn dataset_is_deterministic_end_to_end() {
     let cfg = SimConfig { scale: 0.03, seed: 5, ..SimConfig::default() };
-    let a = StudyData::generate(cfg);
-    let b = StudyData::generate(cfg);
-    assert_eq!(a.raw.ndt.len(), b.raw.ndt.len());
-    assert_eq!(a.raw.traces.len(), b.raw.traces.len());
-    assert_eq!(a.raw.ndt[..200.min(a.raw.ndt.len())], b.raw.ndt[..200.min(b.raw.ndt.len())]);
+    let a = Simulator::new(cfg).run();
+    let b = Simulator::new(cfg).run();
+    assert_eq!(a.ndt.len(), b.ndt.len());
+    assert_eq!(a.traces.len(), b.traces.len());
+    assert_eq!(a.ndt[..200.min(a.ndt.len())], b.ndt[..200.min(b.ndt.len())]);
 }

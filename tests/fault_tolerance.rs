@@ -13,8 +13,12 @@ use ukraine_ndt::analysis::DropReason;
 use ukraine_ndt::prelude::*;
 use ukraine_ndt::topology::asn::well_known as wk;
 
+fn dataset(scale: f64, faults: FaultPlan) -> Dataset {
+    Simulator::new(SimConfig { scale, seed: 20_220_310, faults, ..SimConfig::default() }).run()
+}
+
 fn study(scale: f64, faults: FaultPlan) -> StudyData {
-    StudyData::generate(SimConfig { scale, seed: 20_220_310, faults, ..SimConfig::default() })
+    StudyData::from_dataset(dataset(scale, faults))
 }
 
 /// The moderate-fault corpus is reused by several tests; build it once.
@@ -84,7 +88,7 @@ fn sidecar_blackout_degrades_gracefully_with_annotations() {
     // have zero input but the report still completes, with the loss
     // accounted for in coverage rather than a panic or fabricated numbers.
     let data = study(0.06, FaultPlan::SIDECAR_BLACKOUT);
-    assert!(data.raw.traces.is_empty(), "blackout left traces behind");
+    assert!(data.traces.is_empty(), "blackout left traces behind");
     let r = full_report(&data).expect("sidecar blackout must not error");
 
     // Path analyses are empty, not wrong.
@@ -109,12 +113,12 @@ fn sidecar_blackout_degrades_gracefully_with_annotations() {
 fn faulted_runs_are_bit_for_bit_deterministic() {
     // Same seed + same plan → identical corpus and identical artifacts,
     // regardless of how often it is run.
-    let a = study(0.06, FaultPlan::MODERATE);
-    let b = study(0.06, FaultPlan::MODERATE);
+    let a = dataset(0.06, FaultPlan::MODERATE);
+    let b = dataset(0.06, FaultPlan::MODERATE);
     // Corrupt rows carry injected NaNs, so `PartialEq` (NaN != NaN) cannot
     // express bit-for-bit equality — compare float fields by bit pattern.
-    assert_eq!(a.raw.ndt.len(), b.raw.ndt.len(), "download row counts differ");
-    for (x, y) in a.raw.ndt.iter().zip(&b.raw.ndt) {
+    assert_eq!(a.ndt.len(), b.ndt.len(), "download row counts differ");
+    for (x, y) in a.ndt.iter().zip(&b.ndt) {
         assert_eq!(
             (x.day, x.client_ip, x.server_ip, x.client_asn, x.oblast, x.city),
             (y.day, y.client_ip, y.server_ip, y.client_asn, y.oblast, y.city)
@@ -125,9 +129,9 @@ fn faulted_runs_are_bit_for_bit_deterministic() {
     }
     // Trace metrics are never corrupted (always finite), so plain equality
     // is exact there.
-    assert_eq!(a.raw.traces, b.raw.traces, "traceroute rows differ");
-    let ra = full_report(&a).expect("computes");
-    let rb = full_report(&b).expect("computes");
+    assert_eq!(a.traces, b.traces, "traceroute rows differ");
+    let ra = full_report(&StudyData::from_dataset(a)).expect("computes");
+    let rb = full_report(&StudyData::from_dataset(b)).expect("computes");
     assert_eq!(ra.render(), rb.render(), "rendered reports differ");
     assert_eq!(ra.fig2.to_csv(), rb.fig2.to_csv());
     assert_eq!(ra.fig3.to_csv(), rb.fig3.to_csv());
@@ -138,8 +142,8 @@ fn faulted_runs_are_bit_for_bit_deterministic() {
 fn faults_only_degrade_the_clean_corpus() {
     // Keyed-hash coins mean a faulted dataset is a strict degradation of
     // the clean one: fewer (or equal) rows and traces, never new data.
-    let clean = study(0.06, FaultPlan::NONE);
-    let faulted = study(0.06, FaultPlan::SEVERE);
-    assert!(faulted.raw.ndt.len() <= clean.raw.ndt.len(), "faults added download rows");
-    assert!(faulted.raw.traces.len() < clean.raw.traces.len(), "30% sidecar loss left traces intact");
+    let clean = dataset(0.06, FaultPlan::NONE);
+    let faulted = dataset(0.06, FaultPlan::SEVERE);
+    assert!(faulted.ndt.len() <= clean.ndt.len(), "faults added download rows");
+    assert!(faulted.traces.len() < clean.traces.len(), "30% sidecar loss left traces intact");
 }

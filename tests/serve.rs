@@ -9,7 +9,7 @@
 //! timing-fragile client fleets); the subprocess half proves the same
 //! behaviours through the real binary, TCP front and exit codes.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, OnceLock};
@@ -17,6 +17,7 @@ use std::time::Duration;
 
 use ukraine_ndt::prelude::*;
 use ukraine_ndt::runner::run_store_generate;
+use ukraine_ndt::serve::net::MAX_REQUEST_LINE;
 use ukraine_ndt::serve::{
     fetch, run_load, serve_tcp, LoadConfig, Reply, Request, ServeConfig, ServeError, Server,
 };
@@ -272,6 +273,37 @@ fn tcp_front_round_trips_requests_and_typed_errors() {
     let stats = server.drain();
     assert_eq!(stats.executed, 1, "{stats:?}");
     assert_eq!(stats.panics, 1, "{stats:?}");
+}
+
+#[test]
+fn an_oversized_request_line_gets_a_typed_error_not_a_hang() {
+    let server = Server::start(corpus(), 1, base_cfg());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let net = {
+        let handle = server.handle();
+        let shutdown = Arc::clone(&shutdown);
+        std::thread::spawn(move || serve_tcp(listener, handle, shutdown))
+    };
+
+    // A line a little over the cap, no newline, and the socket kept open:
+    // only the cap can end the server's read.
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 64]).expect("send");
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).expect("a reply within 5 s");
+    assert_eq!(reply, "ERR failed request line too long\n");
+
+    // The server still answers well-formed requests.
+    let reply = fetch(&addr, &Request::new("fig2"), Duration::from_secs(30)).expect("fetch");
+    assert!(matches!(reply, Reply::Ok(_)), "{reply:?}");
+
+    drop(stream);
+    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    net.join().expect("net thread").expect("clean accept-loop exit");
+    server.drain();
 }
 
 // ---------------------------------------------------------------------

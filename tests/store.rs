@@ -503,7 +503,8 @@ fn artifact_value(artifact: &str, key: &str) -> u64 {
 /// The deterministic `store.*` read counters — published once per
 /// successful shard pair, in manifest order — must be byte-equal between
 /// `report --from-store` runs at `--threads 1` and `--threads 4` over the
-/// same store.
+/// same store. A clean read decodes, and so checksum-verifies, every page
+/// of every group of every shard file the manifest lists.
 #[test]
 fn cli_engines_publish_identical_deterministic_counters() {
     let d = tmpdir("cli-counters");
@@ -547,9 +548,6 @@ fn cli_engines_publish_identical_deterministic_counters() {
         "store.bytes_read",
         "store.groups_scanned",
         "store.pages_decoded",
-        "store.rows_pruned",
-        "store.pages_skipped",
-        "store.groups_pruned_dict",
         "store.shards_quarantined",
         "store.days_missing",
     ] {
@@ -560,6 +558,19 @@ fn cli_engines_publish_identical_deterministic_counters() {
         );
     }
     assert!(artifact_value(&one_metrics, "store.rows_read") > 0, "counters actually published");
+
+    let manifest = std::fs::read_to_string(store_dir.join(STORE_MANIFEST)).expect("manifest");
+    let (mut groups, mut pages) = (0u64, 0u64);
+    for stem in manifest.lines().filter_map(|l| l.strip_prefix("shard ")) {
+        for table in ["unified", "traces"] {
+            let path = store_dir.join(format!("{stem}.{table}.ndts"));
+            let shard = ukraine_ndt::store::Shard::open(path).expect("a clean shard opens");
+            groups += shard.groups().len() as u64;
+            pages += (shard.groups().len() * shard.schema().columns.len()) as u64;
+        }
+    }
+    assert_eq!(artifact_value(&one_metrics, "store.groups_scanned"), groups, "every group read");
+    assert_eq!(artifact_value(&one_metrics, "store.pages_decoded"), pages, "every page decoded");
     let _ = std::fs::remove_dir_all(&d);
 }
 
