@@ -142,7 +142,7 @@ impl StudyDataBuilder {
     }
 
     /// Ingests one columnar batch straight into the unified table, cell
-    /// for cell what `ndt_mlab::schema::push_unified_row` would produce
+    /// for cell what `ndt-mlab`'s test-only row-at-a-time oracle produces
     /// for the same rows.
     pub fn push_unified_batch(&mut self, batch: &UnifiedBatch) -> io::Result<()> {
         let table = self.unified.get_or_insert_with(empty_unified_table);

@@ -13,7 +13,6 @@ use crate::dataset::StudyData;
 use crate::error::AnalysisError;
 use crate::render::{pct, text_table, times};
 use ndt_conflict::Period;
-use ndt_mlab::Scamper1Row;
 use ndt_stats::{welch_t_test, WelchTTest};
 use ndt_topology::Asn;
 use std::collections::HashMap;
@@ -36,9 +35,22 @@ pub struct AsChangeRow {
     /// Loss ratio (×) with its test.
     pub loss_ratio: f64,
     pub loss_test: WelchTTest,
+    /// The prewar and wartime samples behind the row — Table 5's spreads.
+    pub prewar: Samples,
+    pub wartime: Samples,
 }
 
-/// Worst-case 2021 fluctuations (the table's last row).
+/// One period's metrics over the traces whose path crosses one AS, in
+/// trace order: one entry per trace.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Samples {
+    pub tput: Vec<f64>,
+    pub min_rtt: Vec<f64>,
+    pub loss: Vec<f64>,
+}
+
+/// The four changes of a Table 3 row; as the table's last row, the
+/// worst-case 2021 fluctuations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineFluctuation {
     pub d_counts: f64,
@@ -47,7 +59,7 @@ pub struct BaselineFluctuation {
     pub loss_ratio: f64,
 }
 
-/// Table 3 (plus the underlying per-metric samples living in Tables 5/6).
+/// Table 3, whose rows keep the samples and tests Tables 5 and 6 render.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsTable {
     pub rows: Vec<AsChangeRow>,
@@ -60,15 +72,22 @@ pub struct AsTable {
     pub coverage: Coverage,
 }
 
-/// Tests traversing each AS within a period.
-fn tests_through(data: &StudyData, period: Period) -> HashMap<Asn, Vec<&Scamper1Row>> {
-    let mut map: HashMap<Asn, Vec<&Scamper1Row>> = HashMap::new();
+/// Walks `period`'s traces once: the samples of each AS of `top` — a
+/// trace counts once per AS on its path — and the period's trace count.
+fn samples_through(data: &StudyData, period: Period, top: &[Asn]) -> (Vec<Samples>, usize) {
+    let mut samples = vec![Samples::default(); top.len()];
+    let mut traces = 0;
     for r in data.traces_in(period) {
-        for asn in &r.as_path {
-            map.entry(*asn).or_default().push(r);
+        traces += 1;
+        for (asn, s) in top.iter().zip(&mut samples) {
+            if r.as_path.contains(asn) {
+                s.tput.push(r.mean_tput_mbps);
+                s.min_rtt.push(r.min_rtt_ms);
+                s.loss.push(r.loss_rate);
+            }
         }
     }
-    map
+    (samples, traces)
 }
 
 /// Top-`n` *named Ukrainian access* ASes by traceroute occurrence in the
@@ -96,34 +115,17 @@ fn top_ases(data: &StudyData, n: usize) -> Vec<Asn> {
     top.into_iter().map(|(a, _)| a).collect()
 }
 
-fn change_row(data: &StudyData, asn: Asn) -> AsChangeRow {
-    let pre = tests_through(data, Period::Prewar2022).remove(&asn).unwrap_or_default();
-    let war = tests_through(data, Period::Wartime2022).remove(&asn).unwrap_or_default();
-    let metric = |rows: &[&Scamper1Row], f: fn(&Scamper1Row) -> f64| -> Vec<f64> {
-        rows.iter().map(|r| f(r)).collect()
-    };
+/// The changes from `pre` to `war`: an AS row's, or one AS's 2021
+/// baseline fluctuation.
+fn changes(pre: &Samples, war: &Samples) -> BaselineFluctuation {
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let tput_pre = metric(&pre, |r| r.mean_tput_mbps);
-    let tput_war = metric(&war, |r| r.mean_tput_mbps);
-    let rtt_pre = metric(&pre, |r| r.min_rtt_ms);
-    let rtt_war = metric(&war, |r| r.min_rtt_ms);
-    let loss_pre = metric(&pre, |r| r.loss_rate);
-    let loss_war = metric(&war, |r| r.loss_rate);
-    let name = data
-        .name_of(asn)
-        .unwrap_or_else(|| asn.to_string());
-    AsChangeRow {
-        asn,
-        name,
-        tests_prewar: pre.len(),
-        tests_wartime: war.len(),
-        d_counts: (war.len() as f64 - pre.len() as f64) / pre.len().max(1) as f64,
-        d_tput: (mean(&tput_war) - mean(&tput_pre)) / mean(&tput_pre),
-        tput_test: welch_t_test(&tput_pre, &tput_war),
-        d_rtt: (mean(&rtt_war) - mean(&rtt_pre)) / mean(&rtt_pre),
-        rtt_test: welch_t_test(&rtt_pre, &rtt_war),
-        loss_ratio: mean(&loss_war) / mean(&loss_pre),
-        loss_test: welch_t_test(&loss_pre, &loss_war),
+    let (n_pre, n_war) = (pre.tput.len() as f64, war.tput.len() as f64);
+    let (tput, rtt) = (mean(&pre.tput), mean(&pre.min_rtt));
+    BaselineFluctuation {
+        d_counts: (n_war - n_pre) / n_pre.max(1.0),
+        d_tput: (mean(&war.tput) - tput) / tput,
+        d_rtt: (mean(&war.min_rtt) - rtt) / rtt,
+        loss_ratio: mean(&war.loss) / mean(&pre.loss),
     }
 }
 
@@ -134,49 +136,58 @@ pub fn compute(data: &StudyData, n: usize) -> Result<AsTable, AnalysisError> {
     if top.len() < n {
         cov.note_sample(format!("top-{n} ranking ({} found)", top.len()), top.len());
     }
-    let rows: Vec<AsChangeRow> = top.iter().map(|&asn| change_row(data, asn)).collect();
+    let (prewar, prewar_traces) = samples_through(data, Period::Prewar2022, &top);
+    let (wartime, wartime_traces) = samples_through(data, Period::Wartime2022, &top);
+    let rows: Vec<AsChangeRow> = top
+        .iter()
+        .zip(prewar.into_iter().zip(wartime))
+        .map(|(&asn, (prewar, wartime))| {
+            let c = changes(&prewar, &wartime);
+            AsChangeRow {
+                asn,
+                name: data.name_of(asn).unwrap_or_else(|| asn.to_string()),
+                tests_prewar: prewar.tput.len(),
+                tests_wartime: wartime.tput.len(),
+                d_counts: c.d_counts,
+                d_tput: c.d_tput,
+                tput_test: welch_t_test(&prewar.tput, &wartime.tput),
+                d_rtt: c.d_rtt,
+                rtt_test: welch_t_test(&prewar.min_rtt, &wartime.min_rtt),
+                loss_ratio: c.loss_ratio,
+                loss_test: welch_t_test(&prewar.loss, &wartime.loss),
+                prewar,
+                wartime,
+            }
+        })
+        .collect();
     for r in &rows {
         cov.note_sample(format!("AS{}", r.asn.0), r.tests_prewar.min(r.tests_wartime));
     }
 
     // Baseline fluctuations: the same computation over the two 2021
-    // baselines; the paper keeps the worst (most extreme) value per metric.
+    // baselines; the paper keeps the worst (most extreme) value per metric,
+    // the one farthest from no change (0, or 1 for the loss ratio).
     let mut baseline =
         BaselineFluctuation { d_counts: 0.0, d_tput: 0.0, d_rtt: 0.0, loss_ratio: 1.0 };
-    let pre_map = tests_through(data, Period::BaselineJanFeb2021);
-    let war_map = tests_through(data, Period::BaselineFebApr2021);
-    for asn in &top {
-        let pre = pre_map.get(asn).cloned().unwrap_or_default();
-        let war = war_map.get(asn).cloned().unwrap_or_default();
-        if pre.len() < 20 || war.len() < 20 {
-            continue;
+    let worst = |kept: &mut f64, new: f64, none: f64| {
+        if (new - none).abs() > (*kept - none).abs() {
+            *kept = new;
         }
-        let mean = |rows: &[&Scamper1Row], f: fn(&Scamper1Row) -> f64| {
-            rows.iter().map(|r| f(r)).sum::<f64>() / rows.len() as f64
-        };
-        let dc = (war.len() as f64 - pre.len() as f64) / pre.len() as f64;
-        let dt = (mean(&war, |r| r.mean_tput_mbps) - mean(&pre, |r| r.mean_tput_mbps))
-            / mean(&pre, |r| r.mean_tput_mbps);
-        let dr = (mean(&war, |r| r.min_rtt_ms) - mean(&pre, |r| r.min_rtt_ms))
-            / mean(&pre, |r| r.min_rtt_ms);
-        let lr = mean(&war, |r| r.loss_rate) / mean(&pre, |r| r.loss_rate);
-        if dc.abs() > baseline.d_counts.abs() {
-            baseline.d_counts = dc;
-        }
-        if dt.abs() > baseline.d_tput.abs() {
-            baseline.d_tput = dt;
-        }
-        if dr.abs() > baseline.d_rtt.abs() {
-            baseline.d_rtt = dr;
-        }
-        if (lr - 1.0).abs() > (baseline.loss_ratio - 1.0).abs() {
-            baseline.loss_ratio = lr;
+    };
+    let (pre21, _) = samples_through(data, Period::BaselineJanFeb2021, &top);
+    let (war21, _) = samples_through(data, Period::BaselineFebApr2021, &top);
+    for (pre, war) in pre21.iter().zip(&war21) {
+        if pre.tput.len() >= 20 && war.tput.len() >= 20 {
+            let c = changes(pre, war);
+            worst(&mut baseline.d_counts, c.d_counts, 0.0);
+            worst(&mut baseline.d_tput, c.d_tput, 0.0);
+            worst(&mut baseline.d_rtt, c.d_rtt, 0.0);
+            worst(&mut baseline.loss_ratio, c.loss_ratio, 1.0);
         }
     }
 
     // Top-10 share of all 2022 tests.
-    let total: usize = data.traces_in(Period::Prewar2022).count()
-        + data.traces_in(Period::Wartime2022).count();
+    let total = prewar_traces + wartime_traces;
     cov.see(total);
     let through_top: usize = rows.iter().map(|r| r.tests_prewar + r.tests_wartime).sum();
     Ok(AsTable { rows, baseline, top10_share: through_top as f64 / total.max(1) as f64, coverage: cov })
@@ -330,6 +341,32 @@ mod tests {
             "top-10 share = {} (paper: 25.6%)",
             t.top10_share
         );
+    }
+
+    #[test]
+    fn kept_samples_are_the_traces_through_each_as_in_order() {
+        // Brute-force reference: one filter per (AS, period) over the
+        // period's traces.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for row in &table().rows {
+            for (period, kept, tests) in [
+                (Period::Prewar2022, &row.prewar, row.tests_prewar),
+                (Period::Wartime2022, &row.wartime, row.tests_wartime),
+            ] {
+                let through: Vec<&ndt_mlab::Scamper1Row> = shared_medium()
+                    .traces_in(period)
+                    .filter(|r| r.as_path.contains(&row.asn))
+                    .collect();
+                let metric = |f: fn(&ndt_mlab::Scamper1Row) -> f64| {
+                    through.iter().map(|r| f(r).to_bits()).collect::<Vec<_>>()
+                };
+                let tag = format!("{} {period:?}", row.asn);
+                assert_eq!(tests, through.len(), "{tag}");
+                assert_eq!(bits(&kept.tput), metric(|r| r.mean_tput_mbps), "{tag}");
+                assert_eq!(bits(&kept.min_rtt), metric(|r| r.min_rtt_ms), "{tag}");
+                assert_eq!(bits(&kept.loss), metric(|r| r.loss_rate), "{tag}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Tables 5 & 6 (Appendix): AS-level mean/median/std detail and the
-//! p-values behind Table 3's stars.
+//! p-values behind Table 3's stars — a rendering of the samples and Welch
+//! tests [`table3_as`] keeps on its rows.
 
 use crate::coverage::Coverage;
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
 use crate::render::text_table;
-use crate::table3_as;
+use crate::table3_as::{self, AsTable};
 use ndt_conflict::Period;
-use ndt_stats::{median, welch_t_test, Summary};
+use ndt_stats::{median, Summary};
 use ndt_topology::Asn;
 
 /// Mean/median/std triple for one metric (a Table 5 cell group).
@@ -45,7 +46,7 @@ pub struct AsPValues {
     pub p_loss: f64,
 }
 
-/// Tables 5 and 6 together (they share the same sample extraction).
+/// Tables 5 and 6 together: a rendering of Table 3's samples and tests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsDetail {
     pub detail: Vec<AsPeriodDetail>,
@@ -54,43 +55,30 @@ pub struct AsDetail {
     pub coverage: Coverage,
 }
 
-/// Computes the appendix tables for the same top-`n` ASes as Table 3.
+/// Computes the appendix tables for the same top-`n` ASes as Table 3, from
+/// the samples and Welch tests of its rows.
 pub fn compute(data: &StudyData, n: usize) -> Result<AsDetail, AnalysisError> {
-    let table3 = table3_as::compute(data, n)?;
-    let mut cov = table3.coverage.clone();
+    let AsTable { rows, coverage: mut cov, .. } = table3_as::compute(data, n)?;
     let mut detail = Vec::new();
     let mut p_values = Vec::new();
-    for row in &table3.rows {
-        /// (throughputs, min RTTs, loss rates) of one period's tests.
-        type MetricSamples = (Vec<f64>, Vec<f64>, Vec<f64>);
-        let mut samples: std::collections::HashMap<Period, MetricSamples> = Default::default();
-        for period in [Period::Prewar2022, Period::Wartime2022] {
-            let (tput, rtt, loss) = samples.entry(period).or_default();
-            for r in data.traces_in(period).filter(|r| r.as_path.contains(&row.asn)) {
-                tput.push(r.mean_tput_mbps);
-                rtt.push(r.min_rtt_ms);
-                loss.push(r.loss_rate);
-            }
-        }
-        for period in [Period::Prewar2022, Period::Wartime2022] {
-            let (tput, rtt, loss) = &samples[&period];
-            cov.note_sample(format!("AS{}/{:?}", row.asn.0, period), tput.len());
+    for row in &rows {
+        for (period, s) in [(Period::Prewar2022, &row.prewar), (Period::Wartime2022, &row.wartime)]
+        {
+            cov.note_sample(format!("AS{}/{:?}", row.asn.0, period), s.tput.len());
             detail.push(AsPeriodDetail {
                 asn: row.asn,
                 period,
-                tput: Spread::of(tput),
-                min_rtt: Spread::of(rtt),
-                loss: Spread::of(loss),
-                count: tput.len(),
+                tput: Spread::of(&s.tput),
+                min_rtt: Spread::of(&s.min_rtt),
+                loss: Spread::of(&s.loss),
+                count: s.tput.len(),
             });
         }
-        let pre = &samples[&Period::Prewar2022];
-        let war = &samples[&Period::Wartime2022];
         p_values.push(AsPValues {
             asn: row.asn,
-            p_tput: welch_t_test(&pre.0, &war.0).p,
-            p_rtt: welch_t_test(&pre.1, &war.1).p,
-            p_loss: welch_t_test(&pre.2, &war.2).p,
+            p_tput: row.tput_test.p,
+            p_rtt: row.rtt_test.p,
+            p_loss: row.loss_test.p,
         });
     }
     Ok(AsDetail { detail, p_values, coverage: cov })
@@ -190,12 +178,22 @@ mod tests {
 
     #[test]
     fn p_values_match_table3_stars() {
+        // Table 6 is Table 3's tests and Table 5 counts its samples: equal
+        // bit for bit, not merely within a tolerance.
         let d = detail();
         let t3 = crate::table3_as::compute(shared_medium(), 10).expect("clean corpus computes");
-        for p in &d.p_values {
-            let row = t3.row(p.asn).unwrap();
-            assert_eq!(p.p_loss < 0.05, row.loss_test.significant(), "{}", p.asn);
-            assert!((p.p_loss - row.loss_test.p).abs() < 1e-9);
+        assert_eq!(d.p_values.len(), t3.rows.len());
+        for (p, row) in d.p_values.iter().zip(&t3.rows) {
+            assert_eq!(p.asn, row.asn);
+            assert_eq!(p.p_tput.to_bits(), row.tput_test.p.to_bits(), "{} tput", p.asn);
+            assert_eq!(p.p_rtt.to_bits(), row.rtt_test.p.to_bits(), "{} rtt", p.asn);
+            assert_eq!(p.p_loss.to_bits(), row.loss_test.p.to_bits(), "{} loss", p.asn);
+            for (period, tests) in
+                [(Period::Prewar2022, row.tests_prewar), (Period::Wartime2022, row.tests_wartime)]
+            {
+                let half = d.detail_of(row.asn, period).expect("half-row per period");
+                assert_eq!(half.count, tests, "{} {period:?}", row.asn);
+            }
         }
     }
 

@@ -540,7 +540,8 @@ pub fn scan_traces(
 
 /// Ingests one columnar batch into a table created by
 /// `ndt_mlab::schema::empty_unified_table`, producing exactly the cells
-/// `push_unified_row` would, without constructing a single row struct or
+/// the test-only row-at-a-time oracle `push_unified_row` does (checked by
+/// `batch_ingest_matches_row_ingest`), without constructing a row struct or
 /// per-row `String`: integer and float columns append raw values, and
 /// the two dictionary columns intern each *distinct* label once per
 /// batch, then append codes.

@@ -1,6 +1,6 @@
 //! Published row shapes, mirroring the two BigQuery tables the paper reads.
 
-use ndt_bq::{ColType, Table, Value};
+use ndt_bq::{ColType, Table};
 use ndt_geo::{CityId, Oblast};
 use ndt_topology::{Asn, Ipv4Addr};
 
@@ -99,8 +99,10 @@ pub fn empty_unified_table() -> Table {
 }
 
 /// Appends one unified row to a table created by [`empty_unified_table`]:
-/// the row-at-a-time reference the batch ingest is tested against.
-pub fn push_unified_row(t: &mut Table, r: &UnifiedDownloadRow) {
+/// the row-at-a-time oracle the batch ingest is tested against.
+#[cfg(test)]
+pub(crate) fn push_unified_row(t: &mut Table, r: &UnifiedDownloadRow) {
+    use ndt_bq::Value;
     t.push(vec![
         Value::Int(r.day),
         Value::Int(r.client_ip.0 as i64),
@@ -114,11 +116,12 @@ pub fn push_unified_row(t: &mut Table, r: &UnifiedDownloadRow) {
     ]);
 }
 
+#[cfg(test)]
 impl Dataset {
     /// Ingests the unified rows into an `ndt-bq` table one row at a time
     /// ([`push_unified_row`]) — the reference table tests compare the
     /// batch ingest against.
-    pub fn unified_table(&self) -> Table {
+    pub(crate) fn unified_table(&self) -> Table {
         let mut t = empty_unified_table();
         for r in &self.ndt {
             push_unified_row(&mut t, r);
@@ -130,6 +133,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndt_bq::Value;
 
     fn row(day: i64, oblast: Option<Oblast>) -> UnifiedDownloadRow {
         UnifiedDownloadRow {

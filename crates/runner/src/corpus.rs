@@ -15,7 +15,8 @@
 //!   is encoded, nothing touches disk;
 //! * a checkpoint store (`export`, CSV `generate`, any `--resume`) — each
 //!   worker also writes its shard as an `ndt-store` pair plus a counters
-//!   sidecar right after simulating it, and rows are handed back;
+//!   sidecar right after simulating it, and rows are handed back (CSV
+//!   `generate` appends each shard to its two CSVs, then drops it);
 //! * an output store (`generate --format columnar`) — each worker writes
 //!   its shard and drops it, so no finished shard stays in memory.
 //!

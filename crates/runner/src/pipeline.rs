@@ -12,6 +12,11 @@
 //! per-(client, day) RNG streams make the resumed run bit-for-bit
 //! identical to an uninterrupted one.
 //!
+//! `report` and `export` ingest each shard into one `StudyData`;
+//! [`run_generate`] hands each shard to its caller's sink (CSV
+//! `generate`'s two writers) and keeps nothing, so the corpus is never
+//! held whole.
+//!
 //! The topology, the analysis stages and report assembly are never
 //! checkpointed: they are recomputed on every run, cheaper to redo than
 //! to verify.
@@ -244,20 +249,6 @@ impl Pipeline {
         })
     }
 
-    /// The corpus rows in day order (CSV `generate`), or `None` when any
-    /// shard failed (the records say which).
-    fn corpus(&mut self, sim: &SimConfig) -> Option<Dataset> {
-        let mut full = Some(Dataset::default());
-        self.shards(sim, |shard| match (&mut full, shard.rows.take()) {
-            (Some(full), Some(mut part)) => {
-                full.ndt.append(&mut part.ndt);
-                full.traces.append(&mut part.traces);
-            }
-            _ => full = None,
-        });
-        full
-    }
-
     /// The second country's digest (asymmetric scenarios) as the
     /// `country-b` unit: read back from the store on resume, else computed
     /// and saved beside the shards with its counters. `None` on
@@ -444,18 +435,27 @@ pub fn run_export(cfg: &PipelineConfig) -> io::Result<PipelineOutcome> {
     Ok(PipelineOutcome { report, artifacts, records: p.records })
 }
 
-/// The `generate` command: the corpus. `None` when any shard failed; the
-/// records say which. With checkpoints on, a two-country scenario also
-/// computes the `country-b` digest, so the checkpoint store seals as
+/// The `generate` command: hands each shard's rows to `sink` in day order,
+/// as the pool returns them; a failed shard is not handed over. Returns
+/// whether every shard was handed over, and the records, which name any
+/// shard that failed. With checkpoints on, a complete two-country corpus
+/// also computes the `country-b` digest, so the checkpoint store seals as
 /// `export`'s does.
-pub fn run_generate(cfg: &PipelineConfig) -> io::Result<(Option<Dataset>, Vec<StageRecord>)> {
+pub fn run_generate(
+    cfg: &PipelineConfig,
+    mut sink: impl FnMut(Dataset),
+) -> io::Result<(bool, Vec<StageRecord>)> {
     let mut p = Pipeline::open(cfg)?;
-    let corpus = p.corpus(&cfg.sim);
-    if corpus.is_some() && p.store.is_some() {
+    let mut complete = true;
+    p.shards(&cfg.sim, |shard| match shard.rows.take() {
+        Some(rows) => sink(rows),
+        None => complete = false,
+    });
+    if complete && p.store.is_some() {
         p.second_country(&cfg.sim);
     }
     p.seal(&cfg.sim)?;
-    Ok((corpus, p.records))
+    Ok((complete, p.records))
 }
 
 #[cfg(test)]
@@ -473,6 +473,18 @@ mod tests {
 
     fn tiny(seed: u64) -> SimConfig {
         SimConfig { scale: 0.01, ..SimConfig::small(seed) }
+    }
+
+    /// The corpus `run_generate` streams, collected shard by shard; `None`
+    /// when a shard failed.
+    fn generate(cfg: &PipelineConfig) -> (Option<Dataset>, Vec<StageRecord>) {
+        let mut full = Dataset::default();
+        let (complete, records) = run_generate(cfg, |mut part| {
+            full.ndt.append(&mut part.ndt);
+            full.traces.append(&mut part.traces);
+        })
+        .expect("generate");
+        (complete.then_some(full), records)
     }
 
     #[test]
@@ -505,13 +517,13 @@ mod tests {
     fn changing_the_seed_invalidates_resume() {
         let d = tmpdir("invalidate");
         let cfg = PipelineConfig::new(tiny(5), &d);
-        let (ds, records) = run_generate(&cfg).expect("generate");
+        let (ds, records) = generate(&cfg);
         assert!(ds.is_some());
         assert!(records.iter().all(|r| r.status == StageStatus::Computed));
 
         let mut other = PipelineConfig::new(tiny(6), &d);
         other.resume = true;
-        let (ds2, records2) = run_generate(&other).expect("generate with new seed");
+        let (ds2, records2) = generate(&other);
         assert!(ds2.is_some());
         assert!(
             records2.iter().all(|r| r.status == StageStatus::Computed),
@@ -556,7 +568,7 @@ mod tests {
     fn generated_corpus_matches_an_unsharded_run() {
         let d = tmpdir("corpus-eq");
         let cfg = PipelineConfig::new(tiny(33), &d);
-        let (ds, _) = run_generate(&cfg).expect("generate");
+        let (ds, _) = generate(&cfg);
         let ds = ds.expect("complete corpus");
         let full = ndt_mlab::Simulator::new(cfg.sim).run();
         assert_eq!(ds, full, "sharded pipeline == monolithic simulator");

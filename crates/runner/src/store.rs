@@ -219,12 +219,31 @@ fn read_manifest(vfs: &VfsHandle, store_dir: &Path) -> io::Result<Manifest> {
     }
     let mut stems = Vec::new();
     let mut digests = Vec::new();
+    // Day ranges of the listed shards, in any order: no day may be listed
+    // twice, or the load would ingest its rows twice.
+    let mut days: Vec<(i64, i64)> = Vec::new();
     for line in lines {
         if line.is_empty() || line.starts_with("fingerprint ") {
             continue;
         }
         match (line.strip_prefix("shard "), line.strip_prefix("digest ")) {
-            (Some(stem), _) if !stem.contains(['/', '\\']) => stems.push(stem.to_string()),
+            (Some(stem), _) if !stem.contains(['/', '\\']) => {
+                if let Some((lo, hi)) = stem_day_range(stem) {
+                    if let Some(&(a, b)) = days.iter().find(|&&(a, b)| lo < b && a < hi) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "{} lists days {}-{} twice (shard {stem})",
+                                path.display(),
+                                lo.max(a),
+                                hi.min(b)
+                            ),
+                        ));
+                    }
+                    days.push((lo, hi));
+                }
+                stems.push(stem.to_string());
+            }
             (_, Some(name)) if !name.contains(['/', '\\']) => digests.push(name.to_string()),
             _ => {
                 return Err(io::Error::new(

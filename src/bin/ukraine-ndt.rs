@@ -78,8 +78,8 @@ use ukraine_ndt::prelude::*;
 use ukraine_ndt::scenario::parse_scenario_file;
 use ukraine_ndt::runner::{
     load_study_data, read_store_fingerprint, run_export, run_generate, run_report,
-    run_report_from_store_with, run_store_generate, AtomicFile, ExecPolicy, ScanEngine,
-    StageRecord, StageStatus,
+    run_report_from_store_with, run_store_generate, sweep_orphan_temps, AtomicFile, ExecPolicy,
+    ScanEngine, StageRecord, StageStatus,
 };
 use ukraine_ndt::serve::{run_load, serve_tcp, LoadConfig, ServeConfig, Server};
 
@@ -441,26 +441,14 @@ fn cmd_generate_columnar(opts: &Options) -> Result<ExitCode, NdtError> {
     Ok(run_status(&records))
 }
 
-fn cmd_generate(opts: &Options) -> Result<ExitCode, NdtError> {
-    if opts.format == CorpusFormat::Columnar {
-        return cmd_generate_columnar(opts);
-    }
-    announce(opts);
-    fs::create_dir_all(&opts.out)?;
-    let cfg = pipeline_config(opts, true);
-    let (corpus, records) = run_generate(&cfg)?;
-    let Some(data) = corpus else {
-        eprintln!("corpus incomplete; no CSVs written to {}", opts.out.display());
-        return Ok(run_status(&records));
-    };
-    // unified_download as CSV, streamed — the full corpus is hundreds of
-    // MB at scale 1.0, so rows go straight through the atomic writer's
-    // buffer instead of accumulating in a String first.
-    let mut unified = AtomicFile::create(opts.out.join("unified_download.csv"))?;
-    unified.write_all(
-        b"day,client_ip,server_ip,client_asn,oblast,city,tput_mbps,min_rtt_ms,loss_rate\n",
-    )?;
-    for r in &data.ndt {
+/// Appends one shard's rows to the two CSVs: `unified_download` rows, and
+/// scamper rows with the AS path joined by '-'.
+fn write_csv_shard(
+    unified: &mut AtomicFile,
+    traces: &mut AtomicFile,
+    shard: &Dataset,
+) -> std::io::Result<()> {
+    for r in &shard.ndt {
         writeln!(
             unified,
             "{},{},{},{},{},{},{:.4},{:.4},{:.6}",
@@ -475,13 +463,7 @@ fn cmd_generate(opts: &Options) -> Result<ExitCode, NdtError> {
             r.loss_rate
         )?;
     }
-    unified.commit()?;
-    // scamper rows as CSV (AS path joined with '-').
-    let mut traces = AtomicFile::create(opts.out.join("scamper1.csv"))?;
-    traces.write_all(
-        b"day,client_ip,server_ip,path_fingerprint,router_fingerprint,border_from,border_to,as_path,tput_mbps,min_rtt_ms,loss_rate\n",
-    )?;
-    for r in &data.traces {
+    for r in &shard.traces {
         let as_path: Vec<String> = r.as_path.iter().map(|a| a.0.to_string()).collect();
         writeln!(
             traces,
@@ -499,11 +481,51 @@ fn cmd_generate(opts: &Options) -> Result<ExitCode, NdtError> {
             r.loss_rate
         )?;
     }
+    Ok(())
+}
+
+fn cmd_generate(opts: &Options) -> Result<ExitCode, NdtError> {
+    if opts.format == CorpusFormat::Columnar {
+        return cmd_generate_columnar(opts);
+    }
+    announce(opts);
+    fs::create_dir_all(&opts.out)?;
+    // CSV temporaries a killed predecessor left; this run's come next.
+    if let Ok(swept @ 1..) = sweep_orphan_temps(&VfsHandle::real(), &opts.out) {
+        ukraine_ndt::obs::incr_process("tmp_swept", swept as u64);
+    }
+    // Each shard is appended as the pool hands it back in day order, and
+    // dropped: the corpus is never held whole. Both files become visible
+    // only once every shard is in; a failed shard abandons them.
+    let mut unified = AtomicFile::create(opts.out.join("unified_download.csv"))?;
+    unified.write_all(
+        b"day,client_ip,server_ip,client_asn,oblast,city,tput_mbps,min_rtt_ms,loss_rate\n",
+    )?;
+    let mut traces = AtomicFile::create(opts.out.join("scamper1.csv"))?;
+    traces.write_all(
+        b"day,client_ip,server_ip,path_fingerprint,router_fingerprint,border_from,border_to,as_path,tput_mbps,min_rtt_ms,loss_rate\n",
+    )?;
+    let cfg = pipeline_config(opts, true);
+    let (mut rows, mut write_error) = ((0, 0), None);
+    let (complete, records) = run_generate(&cfg, |shard| {
+        if write_error.is_none() {
+            write_error = write_csv_shard(&mut unified, &mut traces, &shard).err();
+            rows = (rows.0 + shard.ndt.len(), rows.1 + shard.traces.len());
+        }
+    })?;
+    if let Some(e) = write_error {
+        return Err(e.into());
+    }
+    if !complete {
+        eprintln!("corpus incomplete; no CSVs written to {}", opts.out.display());
+        return Ok(run_status(&records));
+    }
+    unified.commit()?;
     traces.commit()?;
     eprintln!(
         "wrote {} unified rows and {} traceroute rows to {}",
-        data.ndt.len(),
-        data.traces.len(),
+        rows.0,
+        rows.1,
         opts.out.display()
     );
     Ok(run_status(&records))

@@ -187,3 +187,56 @@ fn export_with_severe_faults_exits_zero_and_derives_artifact_count() {
     );
     let _ = std::fs::remove_dir_all(&d);
 }
+
+/// CSV `generate` appends each shard to both CSVs as the pool hands it
+/// back: the bytes do not depend on `--threads`, the row counts are the
+/// simulator's, a failed shard abandons both files (exit 3, no CSV, no
+/// temporary left behind), and the temporaries a kill leaves are swept by
+/// the next run.
+#[test]
+fn csv_generate_streams_thread_independent_files_and_abandons_them_on_failure() {
+    let d = tmpdir("csv-generate");
+    let common = ["generate", "--scale", "0.01", "--seed", "7"];
+    let files = ["unified_download.csv", "scamper1.csv"];
+    let mut csvs = Vec::new();
+    for threads in ["1", "4"] {
+        let out = d.join(format!("threads-{threads}"));
+        let out_arg = out.display().to_string();
+        let gen = run(&[&common[..], &["--threads", threads, "--out", &out_arg]].concat());
+        assert_eq!(gen.status.code(), Some(0), "stderr: {}", stderr(&gen));
+        csvs.push(files.map(|f| std::fs::read(out.join(f)).expect("CSV written")));
+    }
+    assert!(csvs[0] == csvs[1], "--threads 1 and --threads 4 wrote different CSVs");
+    let sim = ukraine_ndt::mlab::SimConfig { scale: 0.01, seed: 7, ..Default::default() };
+    let corpus = ukraine_ndt::mlab::Simulator::new(sim).run();
+    // One header line, then one line per row.
+    let rows = |csv: &[u8]| csv.iter().filter(|&&b| b == b'\n').count() - 1;
+    assert_eq!(rows(&csvs[0][0]), corpus.ndt.len());
+    assert_eq!(rows(&csvs[0][1]), corpus.traces.len());
+
+    let out = d.join("failed");
+    let out_arg = out.display().to_string();
+    let with_env = |var: &str, value: &str| {
+        bin().env(var, value).args(common).args(["--out", &out_arg]).output().expect("binary runs")
+    };
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&out)
+            .expect("out dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let failed = with_env("UKRAINE_NDT_PANIC_STAGE", "corpus:419");
+    assert_eq!(failed.status.code(), Some(3), "stderr: {}", stderr(&failed));
+    assert!(stderr(&failed).contains("corpus:419"), "stderr: {}", stderr(&failed));
+    assert_eq!(listing(), [ukraine_ndt::runner::CHECKPOINT_DIR], "no CSV and no temporary");
+
+    let killed = with_env("UKRAINE_NDT_EXIT_AFTER", "corpus:");
+    assert_eq!(killed.status.code(), Some(42), "stderr: {}", stderr(&killed));
+    let rerun = run(&[&common[..], &["--out", &out_arg]].concat());
+    assert_eq!(rerun.status.code(), Some(0), "stderr: {}", stderr(&rerun));
+    assert_eq!(listing(), [ukraine_ndt::runner::CHECKPOINT_DIR, files[1], files[0]]);
+    assert!(files.map(|f| std::fs::read(out.join(f)).expect("CSV")) == csvs[0]);
+    let _ = std::fs::remove_dir_all(&d);
+}

@@ -322,9 +322,10 @@ fn missing_manifest_is_a_clear_error() {
 }
 
 /// A `STORE.txt` with a valid header and arbitrary further lines never
-/// panics the loader. Built only from well-formed lines, it loads
-/// degraded by exactly the shards and digests it cannot read, or fails
-/// when it lists no shard.
+/// panics the loader. Built only from well-formed lines that list each
+/// valid shard at most once, it loads degraded by exactly the shards and
+/// digests it cannot read, or fails when it lists no shard; listing a
+/// valid shard twice fails.
 #[test]
 fn fuzzed_manifests_degrade_or_fail_but_never_panic() {
     const SAFE: &[u8] = b"abcXYZ019.-_ ";
@@ -341,14 +342,16 @@ fn fuzzed_manifests_degrade_or_fail_but_never_panic() {
     for case in 0..64 {
         let mut text = format!("{header}\n");
         let (mut shards, mut unreadable, mut arbitrary) = (0, 0, false);
+        let mut unlisted = summary.shards.clone();
         for (kind, bytes) in strategy.new_value(&mut rng) {
             let safe: String = bytes.iter().map(|b| SAFE[*b as usize % SAFE.len()] as char).collect();
             let line = match kind {
                 0 => String::new(),
                 1 => format!("fingerprint {safe}"),
+                2 if unlisted.is_empty() => String::new(),
                 2 => {
                     shards += 1;
-                    format!("shard {}", summary.shards[bytes.len() % summary.shards.len()])
+                    format!("shard {}", unlisted.remove(bytes.len() % unlisted.len()))
                 }
                 3 => {
                     shards += 1;
@@ -381,6 +384,62 @@ fn fuzzed_manifests_degrade_or_fail_but_never_panic() {
             }
         }
     }
+    let stem = &summary.shards[0];
+    let text = format!("{header}\nshard {stem}\nshard safe\nshard {stem}\n");
+    std::fs::write(store_dir.join(STORE_MANIFEST), &text).expect("write manifest");
+    let err = load_study_data(&VfsHandle::real(), &store_dir)
+        .map(drop)
+        .expect_err("a shard listed twice");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+/// A manifest that lists a day twice — the same shard on two lines, or
+/// two shards whose day ranges overlap — is malformed: the load fails
+/// naming the shard (`report --from-store` exits 1) instead of ingesting
+/// those days twice and reporting different numbers. The order of the
+/// lines stays free.
+#[test]
+fn a_manifest_listing_a_day_twice_is_rejected() {
+    let d = tmpdir("manifest-twice");
+    let store_dir = d.join("store");
+    let store_arg = store_dir.display().to_string();
+    let gen = run_cli(&[
+        "generate", "--format", "columnar", "--out", &store_arg, "--scale", "0.01", "--seed", "4",
+    ]);
+    assert_eq!(gen.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&gen.stderr));
+    let manifest_path = store_dir.join(STORE_MANIFEST);
+    let manifest = std::fs::read_to_string(&manifest_path).expect("manifest");
+    let shard_lines: Vec<&str> = manifest.lines().filter(|l| l.starts_with("shard ")).collect();
+    assert!(shard_lines.len() >= 2, "{manifest}");
+
+    // The same shard twice, through the binary.
+    let doubled = shard_lines[1];
+    std::fs::write(&manifest_path, format!("{manifest}{doubled}\n")).expect("write manifest");
+    let report = run_cli(&["report", "--from-store", &store_arg]);
+    let stderr = String::from_utf8_lossy(&report.stderr);
+    assert_eq!(report.status.code(), Some(1), "stderr: {stderr}");
+    assert!(report.stdout.is_empty(), "no report over a doubled corpus");
+    let stem = doubled.trim_start_matches("shard ");
+    assert!(stderr.contains("twice") && stderr.contains(stem), "unhelpful error: {stderr}");
+
+    // A shard whose day range overlaps another's by all but one day.
+    let days: Vec<i64> = stem.split('-').skip(1).take(2).map(|n| n.parse().expect("day")).collect();
+    let overlapping = format!("shard-{:03}-{:03}-0123456789abcdef", days[0] + 1, days[1] + 1);
+    std::fs::write(&manifest_path, format!("{manifest}shard {overlapping}\n"))
+        .expect("write manifest");
+    let err = load_study_data(&VfsHandle::real(), &store_dir).map(drop).expect_err("overlap");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let want = format!("lists days {}-{} twice (shard {overlapping})", days[0] + 1, days[1]);
+    assert!(err.to_string().contains(&want), "{err}");
+
+    // Swapped lines still list every day once.
+    let mut lines: Vec<&str> = manifest.lines().collect();
+    let first = lines.iter().position(|l| l.starts_with("shard ")).expect("a shard line");
+    lines.swap(first, first + 1);
+    std::fs::write(&manifest_path, lines.join("\n") + "\n").expect("write manifest");
+    let (_, records) = load_study_data(&VfsHandle::real(), &store_dir).expect("swapped lines load");
+    assert!(records.is_empty(), "{records:?}");
     let _ = std::fs::remove_dir_all(&d);
 }
 
