@@ -2,8 +2,9 @@
 //!
 //! The data-path convention across the workspace: operations whose failure
 //! depends on *data* (a missing column, a mistyped cell) return
-//! `Result<_, BqError>`; the panicking variants remain only as conveniences
-//! for tests and fixtures where the schema is statically known.
+//! `Result<_, BqError>`. Only `Table::push`, `Table::new` and
+//! `Table::dict_encode` panic, on schemas and rows a caller writes out by
+//! hand.
 
 use crate::table::ColType;
 

@@ -9,7 +9,6 @@ pub enum ColType {
     Int,
     Float,
     Str,
-    Bool,
 }
 
 /// Null sentinel in a [`DictColumn`]'s code vector. Codes are dense
@@ -132,7 +131,6 @@ pub enum Column {
     /// Dictionary-encoded strings; behaves exactly like [`Column::Str`]
     /// through every value-level accessor.
     Dict(DictColumn),
-    Bool(Vec<Option<bool>>),
 }
 
 /// Equality is logical, per row: a dict-encoded column equals a plain
@@ -145,7 +143,6 @@ impl PartialEq for Column {
             (Column::Float(a), Column::Float(b)) => a == b,
             (Column::Str(a), Column::Str(b)) => a == b,
             (Column::Dict(a), Column::Dict(b)) => a == b,
-            (Column::Bool(a), Column::Bool(b)) => a == b,
             (Column::Str(s), Column::Dict(d)) | (Column::Dict(d), Column::Str(s)) => {
                 s.len() == d.len()
                     && (0..s.len()).all(|i| s[i].as_deref() == d.get(i))
@@ -161,7 +158,6 @@ impl Column {
             ColType::Int => Column::Int(Vec::new()),
             ColType::Float => Column::Float(Vec::new()),
             ColType::Str => Column::Str(Vec::new()),
-            ColType::Bool => Column::Bool(Vec::new()),
         }
     }
 
@@ -176,8 +172,6 @@ impl Column {
             (Column::Str(c), Value::Null) => c.push(None),
             (Column::Dict(c), Value::Str(v)) => c.push_str(&v),
             (Column::Dict(c), Value::Null) => c.push_null(),
-            (Column::Bool(c), Value::Bool(v)) => c.push(Some(v)),
-            (Column::Bool(c), Value::Null) => c.push(None),
             (col, v) => {
                 return Err(BqError::TypeMismatch {
                     table: table.to_string(),
@@ -197,7 +191,6 @@ impl Column {
             Column::Int(_) => ColType::Int,
             Column::Float(_) => ColType::Float,
             Column::Str(_) | Column::Dict(_) => ColType::Str,
-            Column::Bool(_) => ColType::Bool,
         }
     }
 
@@ -208,7 +201,6 @@ impl Column {
             Column::Float(c) => c[row].map(Value::Float).unwrap_or(Value::Null),
             Column::Str(c) => c[row].clone().map(Value::Str).unwrap_or(Value::Null),
             Column::Dict(c) => c.get(row).map(|s| Value::Str(s.to_string())).unwrap_or(Value::Null),
-            Column::Bool(c) => c[row].map(Value::Bool).unwrap_or(Value::Null),
         }
     }
 
@@ -218,7 +210,6 @@ impl Column {
             Column::Float(c) => c.len(),
             Column::Str(c) => c.len(),
             Column::Dict(c) => c.len(),
-            Column::Bool(c) => c.len(),
         }
     }
 
@@ -228,7 +219,6 @@ impl Column {
             Column::Float(c) => c.truncate(len),
             Column::Str(c) => c.truncate(len),
             Column::Dict(c) => c.truncate(len),
-            Column::Bool(c) => c.truncate(len),
         }
     }
 }
@@ -324,18 +314,6 @@ impl Table {
         self.rows == 0
     }
 
-    /// Index of a column.
-    ///
-    /// # Panics
-    /// Panics if the column does not exist. Data paths resolving columns
-    /// from untrusted input use [`Table::try_col_index`] instead.
-    pub fn col_index(&self, name: &str) -> usize {
-        match self.try_col_index(name) {
-            Ok(i) => i,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Index of a column, or a typed error naming the available columns.
     pub fn try_col_index(&self, name: &str) -> Result<usize, BqError> {
         self.names.iter().position(|n| n == name).ok_or_else(|| BqError::NoSuchColumn {
@@ -345,57 +323,14 @@ impl Table {
         })
     }
 
-    /// Column storage by name.
-    ///
-    /// # Panics
-    /// Panics if the column does not exist; see [`Table::try_column`].
-    pub fn column(&self, name: &str) -> &Column {
-        &self.cols[self.col_index(name)]
-    }
-
     /// Column storage by name, or a typed error.
     pub fn try_column(&self, name: &str) -> Result<&Column, BqError> {
         Ok(&self.cols[self.try_col_index(name)?])
     }
 
-    /// Cell value.
-    pub fn value(&self, row: usize, col: &str) -> Value {
-        self.column(col).get(row)
-    }
-
     /// A query over all rows.
     pub fn query(&self) -> crate::query::Query<'_> {
         crate::query::Query::all(self)
-    }
-
-    /// Renders the table as CSV (header + all rows; nulls render empty,
-    /// strings are quoted only when they contain a comma or quote).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.names.join(",");
-        out.push('\n');
-        for row in 0..self.rows {
-            let cells: Vec<String> = self
-                .cols
-                .iter()
-                .map(|c| match c.get(row) {
-                    crate::value::Value::Null => String::new(),
-                    crate::value::Value::Str(s) if s.contains(',') || s.contains('"') => {
-                        format!("\"{}\"", s.replace('"', "\"\""))
-                    }
-                    v => v.to_string(),
-                })
-                .collect();
-            out.push_str(&cells.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Internal consistency check (all columns same length).
-    pub fn check(&self) {
-        for (c, n) in self.cols.iter().zip(&self.names) {
-            assert_eq!(c.len(), self.rows, "column '{n}' length drift");
-        }
     }
 
     /// Switches a `Str` column to dictionary encoding, re-interning any
@@ -406,7 +341,10 @@ impl Table {
     /// dict encoding is declared at schema-construction time, where the
     /// schema is statically known.
     pub fn dict_encode(&mut self, name: &str) {
-        let i = self.col_index(name);
+        let i = match self.try_col_index(name) {
+            Ok(i) => i,
+            Err(e) => panic!("{e}"),
+        };
         match &mut self.cols[i] {
             Column::Dict(_) => {}
             Column::Str(c) => {
@@ -426,19 +364,16 @@ impl Table {
         }
     }
 
-    /// Mutable column storage by name — the batch-append entry point for
-    /// the batch ingest path.
+    /// Mutable column storage by name, or a typed error — the
+    /// batch-append entry point for the batch ingest path.
     ///
     /// Contract: after appending directly to columns, grow every column
     /// by the same amount and call [`Table::commit_batch`] before using
     /// any row-oriented accessor; `commit_batch` is the single place the
     /// row counter advances, and it verifies the columns stayed aligned.
-    ///
-    /// # Panics
-    /// Panics if the column does not exist.
-    pub fn column_mut(&mut self, name: &str) -> &mut Column {
-        let i = self.col_index(name);
-        &mut self.cols[i]
+    pub fn try_column_mut(&mut self, name: &str) -> Result<&mut Column, BqError> {
+        let i = self.try_col_index(name)?;
+        Ok(&mut self.cols[i])
     }
 
     /// Verifies all columns grew in lockstep since the last commit and
@@ -480,6 +415,17 @@ impl Table {
 mod tests {
     use super::*;
 
+    /// Every column holds exactly `len()` cells.
+    fn assert_aligned(t: &Table) {
+        for (c, n) in t.cols.iter().zip(&t.names) {
+            assert_eq!(c.len(), t.rows, "column '{n}' length drift");
+        }
+    }
+
+    fn cell(t: &Table, row: usize, col: &str) -> Value {
+        t.try_column(col).expect("column exists").get(row)
+    }
+
     fn sample() -> Table {
         let mut t = Table::new("t", &[("a", ColType::Int), ("b", ColType::Float), ("c", ColType::Str)]);
         t.push(vec![Value::Int(1), Value::Float(1.5), Value::from("x")]);
@@ -491,22 +437,13 @@ mod tests {
     #[test]
     fn push_and_read_back() {
         let t = sample();
-        t.check();
+        assert_aligned(&t);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.value(0, "a"), Value::Int(1));
-        assert_eq!(t.value(1, "b"), Value::Null);
+        assert_eq!(cell(&t, 0, "a"), Value::Int(1));
+        assert_eq!(cell(&t, 1, "b"), Value::Null);
         // Int widens into Float columns.
-        assert_eq!(t.value(2, "b"), Value::Float(3.0));
-        assert_eq!(t.value(2, "c"), Value::Null);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new("t", &[("a", ColType::Int), ("c", ColType::Str)]);
-        t.push(vec![Value::Int(1), Value::from("plain")]);
-        t.push(vec![Value::Null, Value::from("with, comma")]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,c\n1,plain\n,\"with, comma\"\n");
+        assert_eq!(cell(&t, 2, "b"), Value::Float(3.0));
+        assert_eq!(cell(&t, 2, "c"), Value::Null);
     }
 
     #[test]
@@ -532,15 +469,17 @@ mod tests {
             assert!(t.try_push(vec![Value::from("nope")]).is_err());
             assert!(t.try_push(vec![Value::Int(1), Value::Int(2)]).is_err());
             assert!(t.is_empty());
-            t.check();
+            assert_aligned(&t);
         });
         assert_eq!(tally.counter("bq.rows_rejected"), 2, "rejections are counted: {tally:?}");
     }
 
     #[test]
-    #[should_panic(expected = "no column 'zzz'")]
-    fn unknown_column_panics() {
-        sample().column("zzz");
+    fn unknown_column_is_an_error() {
+        let mut t = sample();
+        let err = t.try_column("zzz").expect_err("no such column");
+        assert!(err.to_string().contains("no column 'zzz'"), "{err}");
+        assert!(t.try_column_mut("zzz").is_err());
     }
 
     /// A dict-encoded column is indistinguishable from a plain string
@@ -561,15 +500,14 @@ mod tests {
             plain.push(r.clone());
             dict.push(r);
         }
-        dict.check();
-        assert_eq!(dict.column("s").col_type(), ColType::Str);
+        assert_aligned(&dict);
+        assert_eq!(dict.try_column("s").expect("column").col_type(), ColType::Str);
         assert_eq!(dict.len(), plain.len());
         for row in 0..plain.len() {
             for col in ["a", "s"] {
-                assert_eq!(dict.value(row, col), plain.value(row, col));
+                assert_eq!(cell(&dict, row, col), cell(&plain, row, col));
             }
         }
-        assert_eq!(dict.to_csv(), plain.to_csv());
     }
 
     #[test]
@@ -580,11 +518,11 @@ mod tests {
         t.push(vec![Value::from("b")]);
         t.dict_encode("s");
         t.push(vec![Value::from("a")]);
-        t.check();
-        assert_eq!(t.value(0, "s"), Value::from("a"));
-        assert_eq!(t.value(1, "s"), Value::Null);
-        assert_eq!(t.value(3, "s"), Value::from("a"));
-        let Column::Dict(d) = t.column("s") else { panic!("dict-encoded") };
+        assert_aligned(&t);
+        assert_eq!(cell(&t, 0, "s"), Value::from("a"));
+        assert_eq!(cell(&t, 1, "s"), Value::Null);
+        assert_eq!(cell(&t, 3, "s"), Value::from("a"));
+        let Column::Dict(d) = t.try_column("s").expect("column") else { panic!("dict-encoded") };
         assert_eq!(d.dict(), &["a".to_string(), "b".to_string()]);
         assert_eq!(d.codes(), &[0, NULL_CODE, 1, 0]);
         assert_eq!(d.code_of("b"), Some(1));
@@ -613,26 +551,26 @@ mod tests {
         t.push(vec![Value::Int(1), Value::from("x")]);
 
         // A clean batch: both columns grow by two, one commit.
-        if let Column::Int(c) = t.column_mut("a") {
+        if let Column::Int(c) = t.try_column_mut("a").expect("column") {
             c.extend([Some(2), Some(3)]);
         }
-        if let Column::Dict(d) = t.column_mut("s") {
+        if let Column::Dict(d) = t.try_column_mut("s").expect("column") {
             let code = d.intern("y");
             d.push_code(code);
             d.push_null();
         }
         assert_eq!(t.commit_batch().expect("aligned"), 2);
-        t.check();
+        assert_aligned(&t);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.value(1, "s"), Value::from("y"));
-        assert_eq!(t.value(2, "s"), Value::Null);
+        assert_eq!(cell(&t, 1, "s"), Value::from("y"));
+        assert_eq!(cell(&t, 2, "s"), Value::Null);
 
         // A ragged batch: only one column grew — rejected and rolled back.
-        if let Column::Int(c) = t.column_mut("a") {
+        if let Column::Int(c) = t.try_column_mut("a").expect("column") {
             c.push(Some(9));
         }
         assert!(t.commit_batch().is_err());
-        t.check();
+        assert_aligned(&t);
         assert_eq!(t.len(), 3, "ragged batch left no partial rows");
     }
 
@@ -640,9 +578,9 @@ mod tests {
     fn truncate_restores_a_prior_row_count() {
         let mut t = sample();
         t.truncate(1);
-        t.check();
+        assert_aligned(&t);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.value(0, "a"), Value::Int(1));
+        assert_eq!(cell(&t, 0, "a"), Value::Int(1));
         t.truncate(5); // growing is a no-op
         assert_eq!(t.len(), 1);
     }

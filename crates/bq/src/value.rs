@@ -6,7 +6,6 @@ pub enum Value {
     Int(i64),
     Float(f64),
     Str(String),
-    Bool(bool),
     Null,
 }
 
@@ -28,43 +27,9 @@ impl Value {
         }
     }
 
-    /// The string payload, if this is a `Str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Whether this cell is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::Int(v as i64)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Float(v)
     }
 }
 
@@ -80,30 +45,6 @@ impl From<String> for Value {
     }
 }
 
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-
-impl<T: Into<Value>> From<Option<T>> for Value {
-    fn from(v: Option<T>) -> Self {
-        v.map(Into::into).unwrap_or(Value::Null)
-    }
-}
-
-impl std::fmt::Display for Value {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Float(v) => write!(f, "{v}"),
-            Value::Str(s) => write!(f, "{s}"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Null => write!(f, "NULL"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,22 +55,8 @@ mod tests {
         assert_eq!(Value::Int(7).as_float(), Some(7.0));
         assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
         assert_eq!(Value::Float(2.5).as_int(), None);
-        assert_eq!(Value::from("x").as_str(), Some("x"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
+        assert_eq!(Value::from("x").as_float(), None);
         assert!(Value::Null.is_null());
         assert!(!Value::Int(0).is_null());
-    }
-
-    #[test]
-    fn option_conversion() {
-        assert_eq!(Value::from(Some(3i64)), Value::Int(3));
-        assert_eq!(Value::from(None::<i64>), Value::Null);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(Value::from("Kyiv").to_string(), "Kyiv");
-        assert_eq!(Value::Null.to_string(), "NULL");
-        assert_eq!(Value::Int(-3).to_string(), "-3");
     }
 }

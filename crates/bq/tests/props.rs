@@ -1,8 +1,9 @@
-//! Property-based tests: the query algebra behaves like relational algebra,
-//! and dictionary-encoded columns answer every query as their plain twins
-//! do.
+//! Property-based tests: filters behave like relational selection,
+//! `finite_floats` partitions a column's non-null cells, unknown columns
+//! are errors, and dictionary-encoded columns answer every query as their
+//! plain twins do.
 
-use ndt_bq::{ColType, Table, Value};
+use ndt_bq::{ColType, Query, Table, Value};
 use proptest::prelude::*;
 
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -24,28 +25,36 @@ fn arb_table() -> impl Strategy<Value = Table> {
     )
 }
 
+fn range(t: &Table, lo: i64, hi: i64) -> Query<'_> {
+    t.query().try_filter_int_range("k", lo, hi).expect("k exists")
+}
+
 proptest! {
-    /// Group-by partitions the selection: group sizes sum to the total and
-    /// every row lands in exactly one group.
+    /// Each filter selects exactly the rows its predicate accepts, in
+    /// table order.
     #[test]
-    fn group_by_partitions(t in arb_table()) {
-        let q = t.query();
-        let groups = q.group_by("g");
-        let total: usize = groups.iter().map(|(_, g)| g.count()).sum();
-        prop_assert_eq!(total, q.count());
-        let mut seen = std::collections::HashSet::new();
-        for (_, g) in &groups {
-            for &i in g.indices() {
-                prop_assert!(seen.insert(i), "row {i} in two groups");
-            }
-        }
+    fn filters_select_what_their_predicate_accepts(
+        t in arb_table(), lo in 0i64..5, hi in 0i64..6, g in 0u8..5,
+    ) {
+        let ks = t.query().try_ints("k").unwrap();
+        let want: Vec<usize> = (0..t.len()).filter(|&i| (lo..hi).contains(&ks[i])).collect();
+        let selected = range(&t, lo, hi);
+        prop_assert_eq!(selected.indices(), &want[..]);
+
+        let gv = Value::from(format!("g{g}"));
+        let by_eq = t.query().try_filter_eq("g", &gv).unwrap();
+        let by_pred = t.query().try_filter("g", |cell| *cell == gv).unwrap();
+        prop_assert_eq!(by_eq.indices(), by_pred.indices());
+
+        let xs = t.query().try_filter_not_null("x").unwrap();
+        prop_assert_eq!(xs.count(), t.query().try_floats("x").unwrap().len());
     }
 
-    /// Filtering is idempotent and anti-monotone in selectivity.
+    /// Filtering is idempotent and never grows the selection.
     #[test]
     fn filter_idempotent(t in arb_table(), lo in 0i64..5) {
-        let once = t.query().filter_int_range("k", lo, 5);
-        let twice = t.query().filter_int_range("k", lo, 5).filter_int_range("k", lo, 5);
+        let once = range(&t, lo, 5);
+        let twice = once.clone().try_filter_int_range("k", lo, 5).unwrap();
         prop_assert_eq!(once.indices(), twice.indices());
         prop_assert!(once.count() <= t.len());
     }
@@ -54,43 +63,26 @@ proptest! {
     #[test]
     fn filters_commute(t in arb_table(), lo in 0i64..5, g in 0u8..4) {
         let gv = Value::from(format!("g{g}"));
-        let a = t.query().filter_int_range("k", lo, 5).filter_eq("g", &gv);
-        let b = t.query().filter_eq("g", &gv).filter_int_range("k", lo, 5);
+        let a = range(&t, lo, 5).try_filter_eq("g", &gv).unwrap();
+        let b = t
+            .query()
+            .try_filter_eq("g", &gv)
+            .and_then(|q| q.try_filter_int_range("k", lo, 5))
+            .unwrap();
         prop_assert_eq!(a.indices(), b.indices());
     }
 
-    /// Sum distributes over the groups of any partition.
+    /// Column reads follow the selection: the floats of a filtered query
+    /// are the non-null cells of the selected rows, in order.
     #[test]
-    fn sum_distributes_over_groups(t in arb_table()) {
-        let q = t.query();
-        let total = q.sum("x");
-        let by_group: f64 = q.group_by("g").iter().map(|(_, g)| g.sum("x")).sum();
-        prop_assert!((total - by_group).abs() < 1e-6 * (1.0 + total.abs()));
-    }
-
-    /// Aggregates stay within the data's bounds.
-    #[test]
-    fn aggregate_bounds(t in arb_table()) {
-        let q = t.query();
-        let xs = q.floats("x");
-        if !xs.is_empty() {
-            let mn = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let mx = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(q.mean("x") >= mn - 1e-9 && q.mean("x") <= mx + 1e-9);
-            prop_assert!(q.median("x") >= mn - 1e-9 && q.median("x") <= mx + 1e-9);
-            prop_assert_eq!(q.min("x"), mn);
-            prop_assert_eq!(q.max("x"), mx);
-        }
-    }
-
-    /// `top_groups_by_count` returns groups in non-increasing size order and
-    /// never more than requested.
-    #[test]
-    fn top_groups_ordered(t in arb_table(), n in 0usize..6) {
-        let q = t.query();
-        let top = q.top_groups_by_count("g", n);
-        prop_assert!(top.len() <= n);
-        prop_assert!(top.windows(2).all(|w| w[0].1.count() >= w[1].1.count()));
+    fn reads_follow_the_selection(t in arb_table(), lo in 0i64..5) {
+        let q = range(&t, lo, 5);
+        let x = t.try_column("x").unwrap();
+        let want: Vec<f64> = q.indices().iter().filter_map(|&i| x.get(i).as_float()).collect();
+        prop_assert_eq!(q.try_floats("x").unwrap(), want);
+        let k = t.try_column("k").unwrap();
+        let ks: Vec<i64> = q.indices().iter().filter_map(|&i| k.get(i).as_int()).collect();
+        prop_assert_eq!(q.try_ints("k").unwrap(), ks);
     }
 }
 
@@ -115,64 +107,34 @@ fn arb_dirty_table() -> impl Strategy<Value = Table> {
 }
 
 proptest! {
-    /// The fallible aggregates never panic and never leak NaN: on empty,
-    /// all-null or corrupt-bearing columns they return a typed empty
-    /// (`Ok(None)`) or a finite value — never `Err`, never a poisoned
-    /// number.
+    /// `finite_floats` splits the non-null cells into the finite values,
+    /// in order, and a count of the rest — it never leaks a NaN or an
+    /// infinity and never loses a cell.
     #[test]
-    fn try_aggregates_are_panic_free_and_nan_free(t in arb_dirty_table()) {
-        let q = t.query();
+    fn finite_floats_partition_non_null_cells(t in arb_dirty_table(), lo in 0i64..5) {
+        let q = range(&t, lo, 5);
         let (finite, dropped) = q.finite_floats("x").unwrap();
-        let non_null = q.try_floats("x").unwrap().len();
-        prop_assert_eq!(finite.len() + dropped, non_null, "finite/dropped split loses rows");
+        let non_null = q.try_floats("x").unwrap();
+        prop_assert_eq!(finite.len() + dropped, non_null.len(), "finite/dropped split loses rows");
         prop_assert!(finite.iter().all(|v| v.is_finite()));
-
-        for (val, needs) in [
-            (q.try_mean("x").unwrap(), 1),
-            (q.try_median("x").unwrap(), 1),
-            (q.try_std_dev("x").unwrap(), 2),
-            (q.try_min("x").unwrap(), 1),
-            (q.try_max("x").unwrap(), 1),
-        ] {
-            if finite.len() >= needs {
-                let v = val.expect("enough finite values for an aggregate");
-                prop_assert!(v.is_finite(), "aggregate leaked non-finite {v}");
-            } else {
-                prop_assert!(val.is_none(), "typed empty expected, got {val:?}");
-            }
-        }
-        let s = q.try_sum("x").unwrap();
-        prop_assert!(s.is_finite(), "sum leaked non-finite {s}");
+        let want: Vec<f64> = non_null.into_iter().filter(|v| v.is_finite()).collect();
+        prop_assert_eq!(finite, want);
     }
 
-    /// Schema drift is an error value, not a panic: every fallible entry
-    /// point rejects an unknown column with `Err`.
+    /// Schema drift is an error value, not a panic: every entry point
+    /// rejects an unknown column with `Err`.
     #[test]
     fn unknown_columns_error_instead_of_panicking(t in arb_dirty_table()) {
         let q = t.query();
         prop_assert!(q.try_floats("nope").is_err());
+        prop_assert!(q.try_ints("nope").is_err());
         prop_assert!(q.finite_floats("nope").is_err());
-        prop_assert!(q.try_mean("nope").is_err());
-        prop_assert!(q.try_median("nope").is_err());
-        prop_assert!(q.try_std_dev("nope").is_err());
-        prop_assert!(q.try_min("nope").is_err());
-        prop_assert!(q.try_max("nope").is_err());
-        prop_assert!(q.try_sum("nope").is_err());
         prop_assert!(t.try_col_index("nope").is_err());
+        prop_assert!(t.try_column("nope").is_err());
+        prop_assert!(t.query().try_filter("nope", |_| true).is_err());
+        prop_assert!(t.query().try_filter_eq("nope", &Value::Int(1)).is_err());
+        prop_assert!(t.query().try_filter_int_range("nope", 0, 5).is_err());
         prop_assert!(t.query().try_filter_not_null("nope").is_err());
-    }
-
-    /// The infallible aggregates tolerate dirty columns too (`total_cmp`
-    /// sorting): they may return NaN but must not panic.
-    #[test]
-    fn legacy_aggregates_do_not_panic_on_dirty_columns(t in arb_dirty_table()) {
-        let q = t.query();
-        let _ = q.mean("x");
-        let _ = q.median("x");
-        let _ = q.std_dev("x");
-        let _ = q.min("x");
-        let _ = q.max("x");
-        let _ = q.sum("x");
     }
 }
 
@@ -206,8 +168,8 @@ fn twin_tables(rows: &[Option<usize>]) -> (Table, Table) {
 
 proptest! {
     /// Dict-encoded tables are logically equal to their plain twins and
-    /// answer filter/group/distinct queries identically — including the
-    /// all-null column (empty dictionary) and absent-needle cases.
+    /// answer every filter identically — including the all-null column
+    /// (empty dictionary), absent-needle and null-needle cases.
     #[test]
     fn dict_table_query_equivalence(
         rows in word_rows(),
@@ -217,22 +179,23 @@ proptest! {
         prop_assert_eq!(&plain, &dict);
 
         let needle = Value::from(NEEDLES[needle]);
-        let p = plain.query().filter_eq("s", &needle);
-        let d = dict.query().filter_eq("s", &needle);
+        let p = plain.query().try_filter_eq("s", &needle).unwrap();
+        let d = dict.query().try_filter_eq("s", &needle).unwrap();
         prop_assert_eq!(p.indices(), d.indices());
-        prop_assert_eq!(p.floats("v"), d.floats("v"));
+        prop_assert_eq!(p.try_floats("v").unwrap(), d.try_floats("v").unwrap());
 
-        // Null needles never match on either representation.
-        prop_assert_eq!(plain.query().filter_eq("s", &Value::Null).count(), 0);
-        prop_assert_eq!(dict.query().filter_eq("s", &Value::Null).count(), 0);
-
-        let pg = plain.query().group_by("s");
-        let dg = dict.query().group_by("s");
-        prop_assert_eq!(pg.len(), dg.len());
-        for ((pk, pq), (dk, dq)) in pg.iter().zip(dg.iter()) {
-            prop_assert_eq!(pk, dk);
-            prop_assert_eq!(pq.indices(), dq.indices());
+        // Null and non-string needles never match on either representation.
+        for v in [Value::Null, Value::Int(0)] {
+            prop_assert_eq!(plain.query().try_filter_eq("s", &v).unwrap().count(), 0);
+            prop_assert_eq!(dict.query().try_filter_eq("s", &v).unwrap().count(), 0);
         }
-        prop_assert_eq!(plain.query().distinct("s"), dict.query().distinct("s"));
+
+        let pn = plain.query().try_filter_not_null("s").unwrap();
+        let dn = dict.query().try_filter_not_null("s").unwrap();
+        prop_assert_eq!(pn.indices(), dn.indices());
+        for i in 0..plain.len() {
+            let cell = |t: &Table| t.try_column("s").unwrap().get(i);
+            prop_assert_eq!(cell(&plain), cell(&dict));
+        }
     }
 }

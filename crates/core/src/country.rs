@@ -15,6 +15,7 @@
 //! with an FNV-1a checksum line, so a damaged or edited digest is
 //! rejected instead of rendered.
 
+use crate::coverage::{mean_or_nan, metric_samples, Coverage};
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
 use ndt_conflict::Period;
@@ -28,11 +29,12 @@ pub struct PeriodStats {
     pub period: Period,
     /// Unified rows in the period.
     pub tests: u64,
-    /// Mean download throughput (Mbps); NaN when the period is empty.
+    /// Mean download throughput (Mbps); NaN when the period has no usable
+    /// value.
     pub mean_tput: f64,
-    /// Mean minimum RTT (ms); NaN when the period is empty.
+    /// Mean minimum RTT (ms); NaN when the period has no usable value.
     pub mean_rtt: f64,
-    /// Mean loss rate; NaN when the period is empty.
+    /// Mean loss rate; NaN when the period has no usable value.
     pub mean_loss: f64,
 }
 
@@ -47,22 +49,29 @@ pub struct CountryDigest {
 const DIGEST_MAGIC: &str = "country-digest v2";
 
 impl CountryDigest {
-    /// Digests a corpus: per-period test counts and metric means.
-    pub fn from_study(name: &str, data: &StudyData) -> Self {
+    /// Digests a corpus: per-period test counts and metric means. Each
+    /// mean drops non-finite and negative cells first, as Table 1's do, so
+    /// a corpus with corrupt rows still digests to finite means. The
+    /// digest keeps no coverage: the A/B table is a side-by-side summary,
+    /// and the report's other stages account for the same rows.
+    pub fn from_study(name: &str, data: &StudyData) -> Result<Self, AnalysisError> {
+        let mut cov = Coverage::new();
         let periods = Period::ALL
             .iter()
             .map(|&p| {
-                let q = data.period(p);
-                PeriodStats {
+                let q = data.period(p)?;
+                let mut mean =
+                    |col| metric_samples(&q, col, true, &mut cov).map(|v| mean_or_nan(&v));
+                Ok(PeriodStats {
                     period: p,
                     tests: q.count() as u64,
-                    mean_tput: q.mean("tput"),
-                    mean_rtt: q.mean("min_rtt"),
-                    mean_loss: q.mean("loss"),
-                }
+                    mean_tput: mean("tput")?,
+                    mean_rtt: mean("min_rtt")?,
+                    mean_loss: mean("loss")?,
+                })
             })
-            .collect();
-        Self { name: name.to_string(), periods }
+            .collect::<Result<_, AnalysisError>>()?;
+        Ok(Self { name: name.to_string(), periods })
     }
 
     /// Text form: a magic line, the country name, one line per period
@@ -202,7 +211,7 @@ pub fn table_ab(data: &StudyData) -> Result<String, AnalysisError> {
     let b = data.second_country.as_ref().ok_or_else(|| AnalysisError::Degenerate {
         what: "table_ab needs a second-country digest (asymmetric scenarios only)".to_string(),
     })?;
-    let a = CountryDigest::from_study("ukraine", data);
+    let a = CountryDigest::from_study("ukraine", data)?;
     Ok(render_comparison(&[&a, b]))
 }
 
@@ -227,7 +236,7 @@ pub fn second_country_digest(cfg: &SimConfig) -> Result<Option<CountryDigest>, A
         ..*cfg
     };
     let data = StudyData::generate(bcfg);
-    Ok(Some(CountryDigest::from_study(&cs.name, &data)))
+    CountryDigest::from_study(&cs.name, &data).map(Some)
 }
 
 #[cfg(test)]
@@ -238,7 +247,7 @@ mod tests {
 
     #[test]
     fn digest_text_roundtrips_bit_exactly() {
-        let d = CountryDigest::from_study("ukraine", shared_small());
+        let d = CountryDigest::from_study("ukraine", shared_small()).expect("computes");
         let back = CountryDigest::parse(&d.to_text()).expect("parses");
         assert_eq!(d, back);
         assert_eq!(d.to_text(), back.to_text());
@@ -269,7 +278,7 @@ mod tests {
     }
 
     fn shared_digest() -> CountryDigest {
-        CountryDigest::from_study("ukraine", shared_small())
+        CountryDigest::from_study("ukraine", shared_small()).expect("computes")
     }
 
     #[test]
@@ -316,6 +325,28 @@ mod tests {
         assert_eq!(b.name, "country-b");
         let war = b.stats(Period::Wartime2022);
         assert!(war.tests > 0, "country B generated a corpus");
+    }
+
+    #[test]
+    fn faulted_asymmetric_corpora_digest_to_finite_means() {
+        // Corrupt rows carry NaN and negated metrics; both countries'
+        // means must skip them, as Table 1's do, not print NaN.
+        let cfg = SimConfig {
+            scenario: Scenario::ASYMMETRIC,
+            faults: ndt_mlab::FaultPlan::MODERATE,
+            ..SimConfig::small(1234)
+        };
+        let a = CountryDigest::from_study("ukraine", &StudyData::generate(cfg)).expect("computes");
+        let b = second_country_digest(&cfg).expect("computes").expect("has a second country");
+        for d in [&a, &b] {
+            for p in [Period::Prewar2022, Period::Wartime2022] {
+                let s = d.stats(p);
+                assert!(s.tests > 0, "{} {p:?} is empty", d.name);
+                for v in [s.mean_tput, s.mean_rtt, s.mean_loss] {
+                    assert!(v.is_finite(), "{} {p:?} has a non-finite mean: {s:?}", d.name);
+                }
+            }
+        }
     }
 
     #[test]

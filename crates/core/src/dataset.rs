@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::io;
 
-use ndt_bq::{Query, Table, Value};
+use ndt_bq::{BqError, Query, Table, Value};
 use ndt_conflict::Period;
 use ndt_mlab::columnar::{push_unified_batch, UnifiedBatch};
 use ndt_mlab::schema::empty_unified_table;
@@ -34,7 +34,12 @@ pub struct StudyData {
 /// Day ranges of each [`Period`] window that hold no unified rows, for
 /// windows that hold at least one. See [`StudyData::day_gaps`].
 fn compute_day_gaps(unified: &Table) -> Vec<(i64, i64)> {
-    let days: BTreeSet<i64> = unified.query().ints("day").into_iter().collect();
+    let days: BTreeSet<i64> = unified
+        .query()
+        .try_ints("day")
+        .expect("the unified schema declares a day column")
+        .into_iter()
+        .collect();
     let mut gaps = Vec::new();
     for p in Period::ALL {
         let (s, e) = p.day_range();
@@ -74,19 +79,19 @@ impl StudyData {
     }
 
     /// Unified rows within a period.
-    pub fn period(&self, p: Period) -> Query<'_> {
+    pub fn period(&self, p: Period) -> Result<Query<'_>, BqError> {
         let (s, e) = p.day_range();
-        self.unified.query().filter_int_range("day", s, e)
+        self.unified.query().try_filter_int_range("day", s, e)
     }
 
     /// Unified rows of one labeled city within a period (Table 1's slices).
-    pub fn city_period(&self, city: &str, p: Period) -> Query<'_> {
-        self.period(p).filter_eq("city", &Value::from(city))
+    pub fn city_period(&self, city: &str, p: Period) -> Result<Query<'_>, BqError> {
+        self.period(p)?.try_filter_eq("city", &Value::from(city))
     }
 
     /// Unified rows of one labeled region within a period.
-    pub fn oblast_period(&self, oblast: &str, p: Period) -> Query<'_> {
-        self.period(p).filter_eq("oblast", &Value::from(oblast))
+    pub fn oblast_period(&self, oblast: &str, p: Period) -> Result<Query<'_>, BqError> {
+        self.period(p)?.try_filter_eq("oblast", &Value::from(oblast))
     }
 
     /// Scamper rows within a period.
@@ -195,15 +200,16 @@ mod tests {
     #[test]
     fn periods_partition_unified_rows() {
         let data = shared_small();
-        let total: usize = Period::ALL.iter().map(|p| data.period(*p).count()).sum();
+        let total: usize =
+            Period::ALL.iter().map(|p| data.period(*p).expect("schema").count()).sum();
         assert_eq!(total, data.unified_len(), "every row belongs to exactly one period");
     }
 
     #[test]
     fn city_slices_are_subsets() {
         let data = shared_small();
-        let kyiv = data.city_period("Kyiv", Period::Prewar2022).count();
-        let all = data.period(Period::Prewar2022).count();
+        let kyiv = data.city_period("Kyiv", Period::Prewar2022).expect("schema").count();
+        let all = data.period(Period::Prewar2022).expect("schema").count();
         assert!(kyiv > 0 && kyiv < all);
     }
 

@@ -36,15 +36,15 @@ pub struct OblastChanges {
 pub fn compute(data: &StudyData) -> Result<OblastChanges, AnalysisError> {
     let mut cov = Coverage::new();
     for p in [Period::Prewar2022, Period::Wartime2022] {
-        let all = data.period(p);
+        let all = data.period(p)?;
         cov.see(all.count());
         let unlocated = all.count() - all.try_filter_not_null("oblast")?.count();
         cov.drop_rows(DropReason::Unlocated, unlocated);
     }
     let mut rows = Vec::new();
     for oblast in Oblast::all() {
-        let pre = data.oblast_period(oblast.name(), Period::Prewar2022);
-        let war = data.oblast_period(oblast.name(), Period::Wartime2022);
+        let pre = data.oblast_period(oblast.name(), Period::Prewar2022)?;
+        let war = data.oblast_period(oblast.name(), Period::Wartime2022)?;
         if pre.is_empty() || war.is_empty() {
             cov.note_sample(oblast.name(), pre.count().min(war.count()));
             continue;

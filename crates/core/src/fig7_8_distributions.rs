@@ -41,7 +41,7 @@ fn distributions(
     period: Period,
     cov: &mut Coverage,
 ) -> Result<(MetricDistributions, [Vec<f64>; 3]), AnalysisError> {
-    let q = data.period(period);
+    let q = data.period(period)?;
     cov.see(q.count());
     let mut min_rtt = Histogram::new(0.0, 100.0, 50);
     let mut tput = Histogram::new(0.0, 200.0, 50);
@@ -166,9 +166,9 @@ mod tests {
     #[test]
     fn metrics_are_skewed_like_the_paper() {
         // Throughput is right-skewed: mean > median within the prewar data.
-        let q = shared_small().period(Period::Prewar2022);
-        let mean = q.mean("tput");
-        let median = q.median("tput");
+        let q = shared_small().period(Period::Prewar2022).expect("schema");
+        let tput = q.try_floats("tput").expect("schema");
+        let (mean, median) = (ndt_stats::mean(&tput), ndt_stats::median(&tput));
         assert!(mean > median, "tput mean {mean} <= median {median}");
     }
 

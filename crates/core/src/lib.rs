@@ -36,8 +36,12 @@
 //! [`ext_robustness`] (a Mann–Whitney re-test of Table 1, addressing
 //! Appendix B's normality concern).
 //!
-//! [`report`] runs everything and renders a plain-text reproduction report;
-//! the figure results also render CSV series for external plotting.
+//! [`report`] is the stage registry: [`ANALYSIS_STAGES`] names every
+//! table and figure with its section title, exported artifacts and the
+//! function that computes and renders it. [`run_analysis_stage`] runs one
+//! stage and [`assemble_staged_report`] joins their sections into the
+//! plain-text reproduction report; the figure stages also export CSV
+//! series for external plotting.
 //!
 //! The pipeline is panic-free on degraded data: every `compute()` returns
 //! `Result<_, `[`AnalysisError`]`>`, and data-driven results carry a
@@ -77,6 +81,6 @@ pub use coverage::{Coverage, DropReason, LOW_SAMPLE_N};
 pub use dataset::{StudyData, StudyDataBuilder};
 pub use error::AnalysisError;
 pub use report::{
-    assemble_staged_report, full_report, run_analysis_stage, stage_spec, ReproReport, StageFailure,
-    StageOutput, StageSpec, ANALYSIS_STAGES, SCENARIO_STAGES,
+    assemble_staged_report, run_analysis_stage, stage_spec, StageFailure, StageOutput, StageSpec,
+    ANALYSIS_STAGES, SCENARIO_STAGES,
 };

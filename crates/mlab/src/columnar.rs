@@ -568,12 +568,16 @@ pub fn push_unified_batch(t: &mut ndt_bq::Table, b: &UnifiedBatch) -> Result<(),
         }
     }
 
-    push_ints(t.column_mut("day"), b.day.iter().copied())?;
-    push_ints(t.column_mut("client_ip"), b.client_ip.iter().map(|&v| v as i64))?;
-    push_ints(t.column_mut("server_ip"), b.server_ip.iter().map(|&v| v as i64))?;
-    push_ints(t.column_mut("client_asn"), b.client_asn.iter().map(|&v| v as i64))?;
+    fn col<'t>(t: &'t mut ndt_bq::Table, name: &str) -> Result<&'t mut Column, StoreError> {
+        t.try_column_mut(name).map_err(|e| StoreError::Schema(e.to_string()))
+    }
 
-    match t.column_mut("oblast") {
+    push_ints(col(t, "day")?, b.day.iter().copied())?;
+    push_ints(col(t, "client_ip")?, b.client_ip.iter().map(|&v| v as i64))?;
+    push_ints(col(t, "server_ip")?, b.server_ip.iter().map(|&v| v as i64))?;
+    push_ints(col(t, "client_asn")?, b.client_asn.iter().map(|&v| v as i64))?;
+
+    match col(t, "oblast")? {
         Column::Dict(d) => {
             // 27 oblasts: a tiny lazily-filled remap keeps interning off
             // the per-row path entirely.
@@ -594,7 +598,7 @@ pub fn push_unified_batch(t: &mut ndt_bq::Table, b: &UnifiedBatch) -> Result<(),
         _ => return Err(StoreError::Schema("oblast column is not dictionary-encoded".to_string())),
     }
 
-    match t.column_mut("city") {
+    match col(t, "city")? {
         Column::Dict(d) => {
             let max_city = max_city_id();
             let mut remap = vec![NULL_CODE; max_city as usize + 1];
@@ -614,9 +618,9 @@ pub fn push_unified_batch(t: &mut ndt_bq::Table, b: &UnifiedBatch) -> Result<(),
         _ => return Err(StoreError::Schema("city column is not dictionary-encoded".to_string())),
     }
 
-    push_floats(t.column_mut("tput"), &b.tput)?;
-    push_floats(t.column_mut("min_rtt"), &b.min_rtt)?;
-    push_floats(t.column_mut("loss"), &b.loss)?;
+    push_floats(col(t, "tput")?, &b.tput)?;
+    push_floats(col(t, "min_rtt")?, &b.min_rtt)?;
+    push_floats(col(t, "loss")?, &b.loss)?;
 
     t.commit_batch()
         .map_err(|e| StoreError::Schema(format!("unified batch ingest failed: {e}")))?;
@@ -682,6 +686,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    fn cell(t: &ndt_bq::Table, row: usize, col: &str) -> ndt_bq::Value {
+        t.try_column(col).expect("schema column").get(row)
+    }
+
     #[test]
     fn batch_ingest_matches_row_ingest() {
         let mut ds = sample();
@@ -709,8 +717,8 @@ mod tests {
             for col in ["day", "client_ip", "server_ip", "client_asn", "oblast", "city"] {
                 for i in 0..batched.len() {
                     assert_eq!(
-                        batched.value(i, col),
-                        rowwise.value(i, col),
+                        cell(batched, i, col),
+                        cell(&rowwise, i, col),
                         "{how}: cell ({i}, {col}) diverged between batch and row ingest"
                     );
                 }
@@ -718,7 +726,7 @@ mod tests {
             // Float cells compare bitwise (the corpus carries NaN metrics).
             for col in ["tput", "min_rtt", "loss"] {
                 for i in 0..batched.len() {
-                    match (batched.value(i, col), rowwise.value(i, col)) {
+                    match (cell(batched, i, col), cell(&rowwise, i, col)) {
                         (ndt_bq::Value::Float(a), ndt_bq::Value::Float(b)) => {
                             assert_eq!(a.to_bits(), b.to_bits(), "{how}: cell ({i}, {col}) diverged")
                         }

@@ -157,9 +157,10 @@ mod tests {
         };
         let t = ds.unified_table();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.value(0, "oblast"), Value::from("Kiev City"));
-        assert!(t.value(1, "oblast").is_null());
-        assert_eq!(t.query().filter_not_null("oblast").count(), 1);
-        assert!((t.query().mean("tput") - 40.0).abs() < 1e-12);
+        let oblast = t.try_column("oblast").expect("schema column");
+        assert_eq!(oblast.get(0), Value::from("Kiev City"));
+        assert!(oblast.get(1).is_null());
+        assert_eq!(t.query().try_filter_not_null("oblast").expect("schema column").count(), 1);
+        assert_eq!(t.query().try_floats("tput").expect("schema column"), vec![40.0, 40.0]);
     }
 }

@@ -114,7 +114,8 @@ fn tally_text(key: u64, tally: &Tally) -> String {
 }
 
 /// Parses [`tally_text`] output; `None` on any deviation, or when the
-/// sidecar is bound to another key.
+/// sidecar is bound to another key. Each body line must be exactly
+/// `counter|gauge <name> <digits>` with a non-empty name, ended by `\n`.
 fn parse_tally(text: &str, key: u64) -> Option<Tally> {
     let (body, last) = text.strip_suffix('\n')?.rsplit_once('\n')?;
     let body = &text[..body.len() + 1];
@@ -122,7 +123,7 @@ fn parse_tally(text: &str, key: u64) -> Option<Tally> {
     if sum != wire::fnv1a64(body.as_bytes()) {
         return None;
     }
-    let mut lines = body.lines();
+    let mut lines = body.split_terminator('\n');
     if lines.next() != Some(TALLY_HEADER) || lines.next() != Some(&format!("key {key:016x}")) {
         return None;
     }
@@ -130,10 +131,13 @@ fn parse_tally(text: &str, key: u64) -> Option<Tally> {
     for line in lines {
         let mut parts = line.split(' ');
         let (kind, name, value) = (parts.next()?, parts.next()?, parts.next()?);
+        if parts.next().is_some() || name.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
         let value: u64 = value.parse().ok()?;
         match kind {
-            "counter" if parts.next().is_none() => tally.incr(name, value),
-            "gauge" if parts.next().is_none() => tally.set_gauge(name, value),
+            "counter" => tally.incr(name, value),
+            "gauge" => tally.set_gauge(name, value),
             _ => return None,
         }
     }
@@ -165,6 +169,7 @@ pub(crate) fn read_tally(vfs: &VfsHandle, dir: &Path, unit: &str, key: u64) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fingerprint_tracks_every_knob_but_threads() {
@@ -223,6 +228,110 @@ mod tests {
                 assert_eq!(parse_tally(&flipped, 42), None, "flip at {at} accepted");
             }
             assert_eq!(parse_tally(&text[..at], 42), None, "truncation at {at} accepted");
+        }
+    }
+
+    /// Characters counter and gauge names are drawn from.
+    const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789._:-";
+
+    fn arb_name() -> impl Strategy<Value = String> {
+        prop::collection::vec(0..NAME_CHARS.len(), 1..16)
+            .prop_map(|ix| ix.into_iter().map(|i| NAME_CHARS[i] as char).collect())
+    }
+
+    /// What a damaged or hand-edited sidecar line might hold in place of
+    /// a kind, a name or a value: other keywords, CRs, tabs, signs,
+    /// spaces, non-ASCII, numbers past `u64` and empty tokens.
+    const KINDS: &[&str] = &["counter", "gauge", "checksum", "key", "", "counter\r", "Counter"];
+    const JUNK: &[&str] =
+        &["", "+1", "-1", "007", "1.5", "18446744073709551616", "5\r", "x\ty", "a b", "é"];
+
+    /// A body line: a kind, a name and a value, each sometimes swapped for
+    /// junk, sometimes with a fourth word — about two lines in five are
+    /// valid.
+    fn arb_line() -> impl Strategy<Value = String> {
+        let parts = (0..KINDS.len() + 4, arb_name(), 0u64..u64::MAX, 0..JUNK.len() * 6, 0u8..8);
+        parts.prop_map(|(k, name, n, j, extra)| {
+            let kind = if k < 4 { KINDS[k % 2] } else { KINDS[k - 4] };
+            let (name, value) = match j / JUNK.len() {
+                0 => (JUNK[j].to_string(), n.to_string()),
+                1 => (name, JUNK[j % JUNK.len()].to_string()),
+                _ => (name, n.to_string()),
+            };
+            let mut line = format!("{kind} {name} {value}");
+            if extra == 0 {
+                line.push_str(" 1");
+            }
+            line
+        })
+    }
+
+    /// The sidecar grammar, spelled out independently of the parser.
+    fn is_tally_line(line: &str) -> bool {
+        match line.split(' ').collect::<Vec<_>>().as_slice() {
+            [kind, name, value] => {
+                matches!(*kind, "counter" | "gauge")
+                    && !name.is_empty()
+                    && !value.is_empty()
+                    && value.bytes().all(|b| b.is_ascii_digit())
+                    && value.parse::<u64>().is_ok()
+            }
+            _ => false,
+        }
+    }
+
+    /// Seals `body` with its checksum line, as [`tally_text`] does.
+    fn sealed(body: &str) -> String {
+        format!("{body}checksum {:016x}\n", wire::fnv1a64(body.as_bytes()))
+    }
+
+    proptest! {
+        /// Every tally a run can record round-trips through its sidecar,
+        /// and only under its own key.
+        #[test]
+        fn random_tallies_roundtrip(
+            entries in prop::collection::vec((0u8..2, arb_name(), 0u64..u64::MAX), 0..10),
+            key in 0u64..u64::MAX,
+        ) {
+            let mut tally = Tally::default();
+            for (kind, name, n) in entries {
+                if kind == 0 {
+                    tally.incr(&name, n);
+                } else {
+                    tally.set_gauge(&name, n);
+                }
+            }
+            let text = tally_text(key, &tally);
+            prop_assert_eq!(parse_tally(&text, key), Some(tally));
+            prop_assert_eq!(parse_tally(&text, key ^ 1), None);
+        }
+
+    }
+
+    proptest! {
+        // Parsing is cheap; many cases make the rarer near-valid lines
+        // (an empty name, a signed value, a trailing CR) show up.
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Arbitrary bytes, alone or spliced into a sealed sidecar, never
+        /// panic the parser; a sealed sidecar of random lines parses
+        /// exactly when every body line follows the grammar.
+        #[test]
+        fn parse_tally_never_panics_and_accepts_only_the_grammar(
+            bytes in prop::collection::vec(0u8..=255, 0..200),
+            lines in prop::collection::vec(arb_line(), 0..6),
+            at in 0usize..400,
+        ) {
+            let garbage = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(parse_tally(&garbage, 7), None);
+            let head = format!("{TALLY_HEADER}\nkey {:016x}\n", 7);
+            let at = at.min(head.len());
+            let _ = parse_tally(&sealed(&format!("{}{garbage}{}", &head[..at], &head[at..])), 7);
+
+            let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            let parsed = parse_tally(&sealed(&format!("{head}{body}")), 7);
+            let valid = lines.iter().all(|l| is_tally_line(l));
+            prop_assert_eq!(parsed.is_some(), valid, "lines {:?}", lines);
         }
     }
 

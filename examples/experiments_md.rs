@@ -416,9 +416,12 @@ fn fig6(data: &StudyData) {
 fn fig7_8(data: &StudyData) {
     println!("## Figures 7 & 8 — metric distributions, prewar vs wartime\n");
     let d = fig7_8_distributions::compute(data).expect("clean corpus computes");
-    let skew = |q: &ndt_bq::Query<'_>, col: &str| q.mean(col) > q.median(col);
-    let pre = data.period(Period::Prewar2022);
-    let war = data.period(Period::Wartime2022);
+    let skew = |q: &ukraine_ndt::bq::Query<'_>, col: &str| {
+        let v = q.try_floats(col).expect("schema column");
+        ukraine_ndt::stats::mean(&v) > ukraine_ndt::stats::median(&v)
+    };
+    let pre = data.period(Period::Prewar2022).expect("schema");
+    let war = data.period(Period::Wartime2022).expect("schema");
     println!("| property | paper | measured | shape |");
     println!("|---|---|---|---|");
     println!(

@@ -24,8 +24,8 @@
 //!   paper's own tables, displacement and outage events;
 //! * [`mlab`] (`ndt-mlab`) — the M-Lab platform: 210 sites, geographic load
 //!   balancing, heavy-tailed client populations, NDT tests + traceroutes;
-//! * [`bq`] (`ndt-bq`) — a small columnar query engine standing in for
-//!   BigQuery;
+//! * [`bq`] (`ndt-bq`) — a small columnar table with filters and column
+//!   reads, standing in for BigQuery;
 //! * [`stats`] (`ndt-stats`) — Welch's t-test with real p-values, special
 //!   functions, histograms, correlation, samplers;
 //! * [`analysis`] (`ndt-analysis`) — one module per table and figure of the
@@ -35,18 +35,29 @@
 //!
 //! ```no_run
 //! use ukraine_ndt::prelude::*;
+//! use ukraine_ndt::runner::run_report;
 //!
 //! // Generate a reduced corpus (scale 1.0 reproduces the paper's ~850k
-//! // wartime-window tests) and run the full pipeline.
-//! let data = StudyData::generate(SimConfig { scale: 0.1, ..SimConfig::default() });
-//! let report = full_report(&data).expect("schema is intact");
-//! println!("{}", report.render());
+//! // wartime-window tests) and run every analysis stage over it, exactly
+//! // as `ukraine-ndt report --scale 0.1` does.
+//! let mut cfg = PipelineConfig::new(SimConfig { scale: 0.1, ..SimConfig::default() }, "out");
+//! cfg.checkpoints = false; // keep the run off disk
+//! let outcome = run_report(&cfg)?;
+//! println!("{}", outcome.report);
+//! # Ok::<(), NdtError>(())
 //! ```
 //!
 //! The pipeline is panic-free on degraded data: inject platform faults
 //! with [`mlab::FaultPlan`] (`SimConfig { faults, .. }`) and every
 //! table/figure still computes, carrying a `coverage` accounting of what
-//! was dropped. Only schema drift surfaces as an [`NdtError`].
+//! was dropped. A stage that fails outright becomes a placeholder section
+//! and a failed record in [`runner::PipelineOutcome`], so `run_report`
+//! surfaces only I/O failures as an [`NdtError`]; a single module's
+//! `compute` returns an [`analysis::AnalysisError`] on schema drift.
+//!
+//! Single tables and figures are one call each over a
+//! [`analysis::StudyData`]: `analysis::table1_cities::compute(&data)`, for
+//! example, as `examples/quickstart.rs` shows.
 //!
 //! See `examples/` for runnable scenarios and `EXPERIMENTS.md` for the
 //! paper-vs-measured comparison of every table and figure.
@@ -111,7 +122,7 @@ impl From<std::io::Error> for NdtError {
 /// The most common imports for driving the reproduction.
 pub mod prelude {
     pub use crate::NdtError;
-    pub use ndt_analysis::{full_report, AnalysisError, Coverage, ReproReport, StudyData};
+    pub use ndt_analysis::{AnalysisError, Coverage, StudyData};
     pub use ndt_conflict::{Date, Period};
     pub use ndt_geo::Oblast;
     pub use ndt_mlab::{Dataset, FaultPlan, SimConfig, Simulator};

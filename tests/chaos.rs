@@ -47,21 +47,6 @@ fn cfg_at(sim: SimConfig, out: &Path) -> PipelineConfig {
     cfg
 }
 
-/// Recursively copies `src` into `dst` (files only; used for checkpoint
-/// and store directories, which are flat or one level deep).
-fn copy_dir(src: &Path, dst: &Path) {
-    fs::create_dir_all(dst).expect("mkdir dst");
-    for e in fs::read_dir(src).expect("readdir").filter_map(|e| e.ok()) {
-        let from = e.path();
-        let to = dst.join(e.file_name());
-        if from.is_dir() {
-            copy_dir(&from, &to);
-        } else {
-            fs::copy(&from, &to).expect("copy");
-        }
-    }
-}
-
 /// All regular files under `dir` (recursive), relative name → bytes.
 fn files_under(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
@@ -255,12 +240,15 @@ fn flaky_io_is_fully_absorbed_end_to_end() {
 // ---- torn checkpoints (property) ---------------------------------------
 
 struct CkptBaseline {
-    dir: PathBuf,
+    /// Every file the run left in its output directory, relative name →
+    /// bytes; the directory itself is deleted once they are read.
+    files: BTreeMap<String, Vec<u8>>,
     report: String,
     sim: SimConfig,
 }
 
-/// One checkpointed clean run, shared by every proptest case.
+/// One checkpointed clean run, shared by every proptest case. Its files
+/// are held in memory, so no directory outlives the test binary.
 fn ckpt_baseline() -> &'static CkptBaseline {
     static BASE: OnceLock<CkptBaseline> = OnceLock::new();
     BASE.get_or_init(|| {
@@ -270,7 +258,9 @@ fn ckpt_baseline() -> &'static CkptBaseline {
         cfg.checkpoints = true;
         let outcome = run_report(&cfg).expect("baseline report");
         assert!(outcome.is_complete());
-        CkptBaseline { dir, report: outcome.report, sim }
+        let files = files_under(&dir.join("out"));
+        fs::remove_dir_all(&dir).expect("remove the baseline directory");
+        CkptBaseline { files, report: outcome.report, sim }
     })
 }
 
@@ -288,7 +278,11 @@ proptest! {
     ) {
         let base = ckpt_baseline();
         let case = tmpdir(&format!("ckpt-case-{file_pick}-{offset_pick}-{mode}"));
-        copy_dir(&base.dir.join("out"), &case.join("out"));
+        for (rel, bytes) in &base.files {
+            let to = case.join("out").join(rel);
+            fs::create_dir_all(to.parent().expect("file has a parent")).expect("mkdir");
+            fs::write(&to, bytes).expect("write checkpoint copy");
+        }
 
         let ckpt_dir = case.join("out").join(".ukraine-ndt");
         let mut names: Vec<String> = files_under(&ckpt_dir).into_keys().collect();

@@ -7,9 +7,12 @@
 //! may *annotate* results via their `Coverage`, but may never panic the
 //! analyses or silently skew them.
 
-use std::sync::OnceLock;
 use ukraine_ndt::analysis::coverage::DAGGER;
-use ukraine_ndt::analysis::DropReason;
+use ukraine_ndt::analysis::{
+    assemble_staged_report, fig2_national, fig3_oblast, fig5_border, fig9_path_perf,
+    run_analysis_stage, table1_cities, table2_paths, table3_as, DropReason, StageOutput,
+    ANALYSIS_STAGES,
+};
 use ukraine_ndt::prelude::*;
 use ukraine_ndt::topology::asn::well_known as wk;
 
@@ -21,12 +24,19 @@ fn study(scale: f64, faults: FaultPlan) -> StudyData {
     StudyData::from_dataset(dataset(scale, faults))
 }
 
-/// The moderate-fault corpus is reused by several tests; build it once.
-fn moderate() -> &'static ReproReport {
-    static R: OnceLock<ReproReport> = OnceLock::new();
-    R.get_or_init(|| {
-        full_report(&study(0.12, FaultPlan::MODERATE)).expect("moderate faults must not error")
-    })
+/// Every analysis stage over `data`, as `report` runs them.
+fn stages(data: &StudyData) -> Result<Vec<StageOutput>, AnalysisError> {
+    ANALYSIS_STAGES.iter().map(|s| run_analysis_stage(s.name, data)).collect()
+}
+
+/// The whole run's degradation accounting: every stage's coverage merged,
+/// in registry order.
+fn coverage(outputs: &[StageOutput]) -> Coverage {
+    let mut c = Coverage::new();
+    for o in outputs {
+        c.merge(&o.coverage);
+    }
+    c
 }
 
 #[test]
@@ -35,15 +45,15 @@ fn pipeline_completes_under_every_builtin_plan() {
     // the *entire* pipeline without a panic or an error, and renders.
     for (name, plan) in FaultPlan::BUILTIN {
         let data = study(0.06, plan);
-        let report =
-            full_report(&data).unwrap_or_else(|e| panic!("plan {name} failed the pipeline: {e}"));
-        let rendered = report.render();
+        let outputs =
+            stages(&data).unwrap_or_else(|e| panic!("plan {name} failed the pipeline: {e}"));
+        let rendered = assemble_staged_report(&outputs, &[]);
         assert!(rendered.contains("Table 1"), "plan {name}: report did not render");
         if plan.is_none() {
             // A clean corpus still has unlocated rows (the paper's own
             // geolocation error model) and legitimately thin cells (besieged
             // Mariupol), but it must never show *corruption* drops.
-            let cov = report.coverage();
+            let cov = coverage(&outputs);
             assert!(
                 cov.dropped
                     .iter()
@@ -59,25 +69,29 @@ fn pipeline_completes_under_every_builtin_plan() {
 fn moderate_faults_keep_the_headline_findings() {
     // A rough month of platform trouble must not erase the paper's
     // conclusions — only annotate them.
-    let r = moderate();
+    let data = study(0.12, FaultPlan::MODERATE);
+    let outputs = stages(&data).expect("moderate faults must not error");
 
     // Table 1: the national row still degrades significantly.
-    let national = r.table1.row("National").expect("national row present");
+    let table1 = table1_cities::compute(&data).expect("computes");
+    let national = table1.row("National").expect("national row present");
     assert!(national.loss_test.significant(), "national loss p = {}", national.loss_test.p);
     assert!(national.loss_wartime > national.loss_prewar, "loss direction lost");
     assert!(national.min_rtt_wartime > national.min_rtt_prewar, "RTT direction lost");
 
     // Table 2: the wartime path-diversity jump survives 10% sidecar loss.
-    let wt = r.table2.row(Period::Wartime2022).paths_per_conn;
-    let pw = r.table2.row(Period::Prewar2022).paths_per_conn;
+    let table2 = table2_paths::compute(&data, 1000).expect("computes");
+    let wt = table2.row(Period::Wartime2022).paths_per_conn;
+    let pw = table2.row(Period::Prewar2022).paths_per_conn;
     assert!(wt > pw, "path diversity jump lost: {pw} → {wt}");
 
     // Figure 5: Hurricane Electric still gains, Cogent still loses.
-    assert!(r.fig5.row_change(wk::HURRICANE_ELECTRIC) > 0, "HE gain lost");
-    assert!(r.fig5.row_change(wk::COGENT) < 0, "Cogent fade lost");
+    let fig5 = fig5_border::compute(&data).expect("computes");
+    assert!(fig5.row_change(wk::HURRICANE_ELECTRIC) > 0, "HE gain lost");
+    assert!(fig5.row_change(wk::COGENT) < 0, "Cogent fade lost");
 
     // And the run is visibly annotated as degraded.
-    let cov = r.coverage();
+    let cov = coverage(&outputs);
     assert!(cov.is_degraded(), "moderate faults left no coverage trace");
     assert!(cov.dropped_total() > 0, "corrupt rows were not accounted");
 }
@@ -89,24 +103,29 @@ fn sidecar_blackout_degrades_gracefully_with_annotations() {
     // accounted for in coverage rather than a panic or fabricated numbers.
     let data = study(0.06, FaultPlan::SIDECAR_BLACKOUT);
     assert!(data.traces.is_empty(), "blackout left traces behind");
-    let r = full_report(&data).expect("sidecar blackout must not error");
+    stages(&data).expect("sidecar blackout must not error");
 
     // Path analyses are empty, not wrong.
-    assert!(r.table3.rows.is_empty(), "AS table fabricated rows without traces");
-    assert!(r.fig5.cells.is_empty(), "border matrix fabricated cells");
-    assert!(r.fig9.connections.is_empty(), "path-perf fabricated connections");
+    let table3 = table3_as::compute(&data, 10).expect("computes");
+    assert!(table3.rows.is_empty(), "AS table fabricated rows without traces");
+    let fig5 = fig5_border::compute(&data).expect("computes");
+    assert!(fig5.cells.is_empty(), "border matrix fabricated cells");
+    let fig9 = fig9_path_perf::compute(&data, 10).expect("computes");
+    assert!(fig9.connections.is_empty(), "path-perf fabricated connections");
 
     // The emptiness is annotated: Table 2's periods are all low-sample.
-    assert!(r.table2.coverage.is_degraded(), "trace loss not flagged");
-    let rendered = r.table2.render();
+    let table2 = table2_paths::compute(&data, 1000).expect("computes");
+    assert!(table2.coverage.is_degraded(), "trace loss not flagged");
+    let rendered = table2.render();
     assert!(rendered.contains(DAGGER), "no dagger on starved period rows");
     assert!(rendered.contains("[coverage]"), "no coverage footer");
 
     // The §4 download analyses are untouched: the national series and the
     // city table still show the invasion.
-    let national = r.table1.row("National").expect("national row present");
+    let table1 = table1_cities::compute(&data).expect("computes");
+    let national = table1.row("National").expect("national row present");
     assert!(national.loss_wartime > national.loss_prewar);
-    assert!(!r.fig2.y2022.days.is_empty());
+    assert!(!fig2_national::compute(&data).expect("computes").y2022.days.is_empty());
 }
 
 #[test]
@@ -130,12 +149,16 @@ fn faulted_runs_are_bit_for_bit_deterministic() {
     // Trace metrics are never corrupted (always finite), so plain equality
     // is exact there.
     assert_eq!(a.traces, b.traces, "traceroute rows differ");
-    let ra = full_report(&StudyData::from_dataset(a)).expect("computes");
-    let rb = full_report(&StudyData::from_dataset(b)).expect("computes");
-    assert_eq!(ra.render(), rb.render(), "rendered reports differ");
-    assert_eq!(ra.fig2.to_csv(), rb.fig2.to_csv());
-    assert_eq!(ra.fig3.to_csv(), rb.fig3.to_csv());
-    assert_eq!(ra.coverage(), rb.coverage(), "coverage accounting differs");
+    let (da, db) = (StudyData::from_dataset(a), StudyData::from_dataset(b));
+    let ra = stages(&da).expect("computes");
+    let rb = stages(&db).expect("computes");
+    let render = |outputs: &[StageOutput]| assemble_staged_report(outputs, &[]);
+    assert_eq!(render(&ra), render(&rb), "rendered reports differ");
+    let fig2 = |d: &StudyData| fig2_national::compute(d).expect("computes").to_csv();
+    assert_eq!(fig2(&da), fig2(&db));
+    let fig3 = |d: &StudyData| fig3_oblast::compute(d).expect("computes").to_csv();
+    assert_eq!(fig3(&da), fig3(&db));
+    assert_eq!(coverage(&ra), coverage(&rb), "coverage accounting differs");
 }
 
 #[test]

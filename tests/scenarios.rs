@@ -116,6 +116,9 @@ fn asymmetric_scenario_survives_faults_threads_and_crashes() {
     assert!(table.contains("ukraine"), "A/B table missing country A: {table}");
     assert!(table.contains("country-b"), "A/B table missing country B: {table}");
     assert!(table.contains("wartime"), "A/B table missing the wartime rows: {table}");
+    // Corrupt rows are dropped from both countries' means, as from every
+    // other table's, so no cell of the comparison is NaN.
+    assert!(!table.contains("NaN"), "A/B table averaged corrupt rows: {table}");
 }
 
 #[test]
