@@ -649,10 +649,13 @@ mod tests {
         .clone()
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("ndt-mlab-columnar-tests");
+    /// A fresh directory of this test process's own (`<name>-<pid>`), so
+    /// concurrent test runs never share one; each test removes it whole.
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ndt-mlab-columnar-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
-        dir.join(name)
+        dir
     }
 
     fn eq_bits_unified(a: &[UnifiedDownloadRow], b: &[UnifiedDownloadRow]) -> bool {
@@ -677,13 +680,14 @@ mod tests {
         ds.ndt[0].oblast = None;
         ds.ndt[0].city = None;
         ds.ndt[1].mean_tput_mbps = f64::NAN;
-        let path = tmp("unified-rt.ndts");
+        let dir = test_dir("unified-rt");
+        let path = dir.join("unified-rt.ndts");
         let file = std::fs::File::create(&path).expect("create");
         write_unified(std::io::BufWriter::new(file), &ds.ndt).expect("writes");
         let shard = Shard::open(&path).expect("opens");
         let (back, _) = scan_unified(&shard).expect("scans");
         assert!(eq_bits_unified(&ds.ndt, &back), "unified rows did not round-trip");
-        std::fs::remove_file(&path).ok();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn cell(t: &ndt_bq::Table, row: usize, col: &str) -> ndt_bq::Value {
@@ -696,7 +700,8 @@ mod tests {
         ds.ndt[0].oblast = None;
         ds.ndt[0].city = None;
         ds.ndt[1].mean_tput_mbps = f64::NAN;
-        let path = tmp("unified-batch-ingest.ndts");
+        let dir = test_dir("unified-batch-ingest");
+        let path = dir.join("unified-batch-ingest.ndts");
         let file = std::fs::File::create(&path).expect("create");
         write_unified(std::io::BufWriter::new(file), &ds.ndt).expect("writes");
         let shard = Shard::open(&path).expect("opens");
@@ -735,7 +740,7 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -743,7 +748,8 @@ mod tests {
         let mut ds = sample();
         ds.traces[0].border = None;
         ds.traces[1].as_path.clear();
-        let path = tmp("traces-rt.ndts");
+        let dir = test_dir("traces-rt");
+        let path = dir.join("traces-rt.ndts");
         let file = std::fs::File::create(&path).expect("create");
         write_traces(std::io::BufWriter::new(file), &ds.traces).expect("writes");
         let shard = Shard::open(&path).expect("opens");
@@ -755,7 +761,7 @@ mod tests {
             assert_eq!(x.path_fingerprint, y.path_fingerprint);
             assert_eq!(x.mean_tput_mbps.to_bits(), y.mean_tput_mbps.to_bits());
         }
-        std::fs::remove_file(&path).ok();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

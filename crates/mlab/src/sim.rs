@@ -435,6 +435,9 @@ impl Simulator {
         totals.flush();
         ndt_obs::incr("sim.days_simulated", days_simulated);
         ndt_obs::incr("sim.days_lost", days_lost);
+        for engine in engines.iter_mut() {
+            engine.flush_counters();
+        }
     }
 
     /// Applies the conflict model's state for one day to the topology.

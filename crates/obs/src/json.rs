@@ -10,8 +10,10 @@
 //! * exactly one span entry per line, so [`zero_wall_times`] can blank
 //!   every duration with a line scan and CI can byte-diff two runs.
 //!
-//! The only nondeterministic bytes in the artifact are `wall_ms` values
-//! (and, across run *shapes*, the `process` section and event log).
+//! The only nondeterministic bytes in the artifact are durations — span
+//! `wall_ms` values and `process` entries in microseconds (names ending
+//! `_us`) — and, across run *shapes*, the rest of the `process` section
+//! and the event log.
 
 use std::collections::BTreeMap;
 
@@ -133,12 +135,13 @@ pub(crate) fn render(
     out
 }
 
-/// Replaces every `"wall_ms"`, `"p50_ms"` and `"p99_ms"` value in an
-/// artifact with `0.000`, leaving everything else byte-for-byte intact.
+/// Replaces every duration in an artifact — each span's `"wall_ms"`,
+/// `"p50_ms"` and `"p99_ms"`, and each `process` entry whose name ends in
+/// `_us` — with `0.000`, leaving everything else byte-for-byte intact.
 /// Two runs of the same workload then byte-compare equal regardless of
 /// timing.
 pub fn zero_wall_times(artifact: &str) -> String {
-    const KEYS: [&str; 3] = ["\"wall_ms\": ", "\"p50_ms\": ", "\"p99_ms\": "];
+    const KEYS: [&str; 4] = ["\"wall_ms\": ", "\"p50_ms\": ", "\"p99_ms\": ", "_us\": "];
     let mut out = String::with_capacity(artifact.len());
     let mut rest = artifact;
     // Zero whichever duration key comes next in the document, repeatedly.
@@ -200,6 +203,7 @@ mod tests {
         gauges.insert("topology.links".to_string(), 7u64);
         let mut process = BTreeMap::new();
         process.insert("exec.attempts".to_string(), 2u64);
+        process.insert("route.miss_us".to_string(), 4_321u64);
         let mut spans = BTreeMap::new();
         spans.insert(
             "stage.corpus".to_string(),
@@ -247,8 +251,10 @@ mod tests {
         assert!(zeroed.contains("\"p50_ms\": 0.000,"));
         assert!(zeroed.contains("\"p99_ms\": 0.000}"));
         assert!(!zeroed.contains("1.235"));
+        assert!(zeroed.contains("\"route.miss_us\": 0.000\n"));
         // Counter values untouched.
         assert!(zeroed.contains("\"sim.tests\": 42"));
+        assert!(zeroed.contains("\"exec.attempts\": 2,"));
         // Zeroing a doc twice is a fixed point.
         assert_eq!(zero_wall_times(&zeroed), zeroed);
     }

@@ -75,6 +75,14 @@ mod tests {
         ]
     }
 
+    /// A fresh directory of this test process's own (`<name>-<pid>`), so
+    /// concurrent test runs never share one; each test removes it whole.
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
     fn write_shard(path: &std::path::Path, groups: &[Vec<ColumnData>]) -> WriteStats {
         let file = std::fs::File::create(path).expect("create shard");
         let mut w = ShardWriter::new(std::io::BufWriter::new(file), test_schema())
@@ -89,8 +97,7 @@ mod tests {
 
     #[test]
     fn roundtrip_two_groups() {
-        let dir = std::env::temp_dir().join("ndt-store-test-roundtrip");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = test_dir("ndt-store-test-roundtrip");
         let path = dir.join("two.ndts");
         let g1 = group(
             &[0, 0, 1, 2],
@@ -122,13 +129,12 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_shard_is_rejected_at_open() {
-        let dir = std::env::temp_dir().join("ndt-store-test-trunc");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = test_dir("ndt-store-test-trunc");
         let path = dir.join("full.ndts");
         write_shard(&path, &[group(&[0, 1], &[1, 2], &[3, 4], &[0.5, 0.25])]);
         let bytes = std::fs::read(&path).expect("read back");
@@ -142,13 +148,12 @@ mod tests {
             );
             std::fs::remove_file(&tpath).ok();
         }
-        std::fs::remove_file(&path).ok();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn flipped_payload_bit_fails_at_decode_with_typed_error() {
-        let dir = std::env::temp_dir().join("ndt-store-test-flip");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = test_dir("ndt-store-test-flip");
         let path = dir.join("flip.ndts");
         write_shard(&path, &[group(&[0, 1, 2], &[1, 2, 3], &[4, 5, 6], &[0.5, 0.25, 0.125])]);
         let mut bytes = std::fs::read(&path).expect("read back");
@@ -172,16 +177,12 @@ mod tests {
             ),
             "unexpected error {err:?}"
         );
-        std::fs::remove_file(&path).ok();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn fault_injected_open_surfaces_rot_as_typed_errors() {
-        let dir = std::env::temp_dir().join(format!(
-            "ndt-store-test-vfs-rot-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = test_dir("ndt-store-test-vfs-rot");
         let path = dir.join("rot.ndts");
         write_shard(&path, &[group(&[0, 1, 2], &[1, 2, 3], &[4, 5, 6], &[0.5, 0.25, 0.125])]);
 
@@ -210,8 +211,7 @@ mod tests {
 
     #[test]
     fn verify_payloads_catches_what_open_accepts() {
-        let dir = std::env::temp_dir().join("ndt-store-test-verify");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = test_dir("ndt-store-test-verify");
         let path = dir.join("verify.ndts");
         write_shard(&path, &[group(&[0, 1, 2], &[1, 2, 3], &[4, 5, 6], &[0.5, 0.25, 0.125])]);
         let clean = Shard::open(&path).expect("opens");
@@ -233,6 +233,6 @@ mod tests {
             ),
             "unexpected error {err:?}"
         );
-        std::fs::remove_file(&path).ok();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -145,20 +145,45 @@ impl Link {
     }
 }
 
+/// The links from one AS to one neighbour under one relationship (as seen
+/// from that AS), in route-preference order: by base latency, with equal
+/// latencies in the order the links were added. Route computation takes
+/// the first link of a group that is up; base latency never changes after
+/// [`Topology::add_link`], so the order is fixed at build time.
+#[derive(Debug, Clone)]
+pub(crate) struct LinkGroup {
+    /// Dense index of the neighbour AS (see `Topology::as_index`).
+    pub(crate) peer: usize,
+    pub(crate) rel: Relationship,
+    pub(crate) links: Vec<LinkId>,
+}
+
+/// One registered AS.
+#[derive(Debug, Clone)]
+struct AsNode {
+    asn: Asn,
+    /// Address block (interface addresses are carved from it).
+    prefix: Prefix,
+    /// Next interface host index (interfaces live above the router and
+    /// server blocks, from host 2048).
+    next_iface: u64,
+    /// Incident link ids (up or down), in the order they were added.
+    links: Vec<LinkId>,
+    /// The same links grouped per (neighbour, relationship).
+    groups: Vec<LinkGroup>,
+}
+
 /// The complete network model.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     pub catalog: AsCatalog,
     routers: Vec<Router>,
     links: Vec<Link>,
-    /// ASN → link ids incident to it.
-    adjacency: HashMap<Asn, Vec<LinkId>>,
+    /// Registered ASes, densely indexed in registration order.
+    nodes: Vec<AsNode>,
+    /// ASN → index into `nodes`.
+    node_of: HashMap<Asn, usize>,
     pub prefixes: PrefixTable,
-    /// Address block of each AS (interface addresses are carved from it).
-    prefix_of: HashMap<Asn, Prefix>,
-    /// Next interface host index per AS (interfaces live above the router
-    /// and server blocks, from host 2048).
-    next_iface: HashMap<Asn, u64>,
     version: u64,
 }
 
@@ -169,10 +194,21 @@ impl Topology {
     }
 
     /// Registers an AS (catalogue + prefix).
+    ///
+    /// # Panics
+    /// Panics if the ASN is already registered.
     pub fn add_as(&mut self, info: AsInfo, prefix: Prefix) {
-        self.prefixes.insert(prefix, info.asn);
-        self.prefix_of.insert(info.asn, prefix);
+        let asn = info.asn;
         self.catalog.add(info);
+        self.prefixes.insert(prefix, asn);
+        self.node_of.insert(asn, self.nodes.len());
+        self.nodes.push(AsNode {
+            asn,
+            prefix,
+            next_iface: 2_048,
+            links: Vec::new(),
+            groups: Vec::new(),
+        });
     }
 
     /// Adds a router belonging to `asn` with address `ip`.
@@ -219,17 +255,48 @@ impl Topology {
             base_loss,
             state: LinkState::default(),
         });
-        self.adjacency.entry(a_asn).or_default().push(id);
-        self.adjacency.entry(b_asn).or_default().push(id);
+        let (a_node, b_node) = (self.node_index(a_asn), self.node_index(b_asn));
+        self.attach(a_node, b_node, rel, id);
+        self.attach(b_node, a_node, rel.reversed(), id);
         id
+    }
+
+    /// Index of a registered AS.
+    ///
+    /// # Panics
+    /// Panics on an unregistered ASN.
+    fn node_index(&self, asn: Asn) -> usize {
+        self.as_index(asn).unwrap_or_else(|| panic!("unknown {asn}"))
+    }
+
+    /// Records link `id` on AS `node`'s side: appended to its adjacency,
+    /// and inserted into its (`peer`, `rel`) group after every link of no
+    /// greater latency, which keeps the group stably sorted by latency.
+    fn attach(&mut self, node: usize, peer: usize, rel: Relationship, id: LinkId) {
+        let links = &self.links;
+        let latency = links[id.0 as usize].latency_ms;
+        let node = &mut self.nodes[node];
+        node.links.push(id);
+        let i = match node.groups.iter().position(|g| g.peer == peer && g.rel == rel) {
+            Some(i) => i,
+            None => {
+                node.groups.push(LinkGroup { peer, rel, links: Vec::new() });
+                node.groups.len() - 1
+            }
+        };
+        let group = &mut node.groups[i];
+        let at = group
+            .links
+            .partition_point(|l| links[l.0 as usize].latency_ms.total_cmp(&latency).is_le());
+        group.links.insert(at, id);
     }
 
     /// Allocates the next interface address inside an AS's block.
     fn alloc_interface(&mut self, asn: Asn) -> Ipv4Addr {
-        let prefix = self.prefix_of.get(&asn).unwrap_or_else(|| panic!("unknown {asn}"));
-        let idx = self.next_iface.entry(asn).or_insert(2_048);
-        let ip = prefix.nth(*idx);
-        *idx += 1;
+        let node = self.node_index(asn);
+        let node = &mut self.nodes[node];
+        let ip = node.prefix.nth(node.next_iface);
+        node.next_iface += 1;
         ip
     }
 
@@ -273,14 +340,34 @@ impl Topology {
         &self.links
     }
 
-    /// Links incident to an AS (up or down).
+    /// Links incident to an AS (up or down), in the order they were added.
     pub fn links_of(&self, asn: Asn) -> impl Iterator<Item = &Link> {
-        self.adjacency.get(&asn).into_iter().flatten().map(|id| self.link(*id))
+        self.as_index(asn).into_iter().flat_map(|i| &self.nodes[i].links).map(|id| self.link(*id))
     }
 
     /// Links between a specific AS pair (either orientation).
     pub fn links_between(&self, a: Asn, b: Asn) -> Vec<LinkId> {
         self.links_of(a).filter(|l| l.peer_of(a) == b).map(|l| l.id).collect()
+    }
+
+    /// Dense index of a registered AS, in registration order.
+    pub(crate) fn as_index(&self, asn: Asn) -> Option<usize> {
+        self.node_of.get(&asn).copied()
+    }
+
+    /// Number of registered ASes (the dense indices are `0..as_count()`).
+    pub(crate) fn as_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The ASN at a dense index.
+    pub(crate) fn asn_at(&self, index: usize) -> Asn {
+        self.nodes[index].asn
+    }
+
+    /// The link groups of the AS at a dense index.
+    pub(crate) fn link_groups(&self, index: usize) -> &[LinkGroup] {
+        &self.nodes[index].groups
     }
 
     /// Monotone counter bumped whenever reachability-relevant state changes.

@@ -218,3 +218,51 @@ fn resumed_store_generation_reports_the_same_counters_as_a_clean_run() {
 fn resumed_two_country_export_reports_the_same_counters_as_a_clean_run() {
     assert_kill_resume_counters_match("asym", "export", &["--scenario", "asymmetric"], "country-b");
 }
+
+/// The `route.misses` and `route.dijkstras` lines of the artifact's
+/// `process` section (`route.miss_us` is a duration, so it varies).
+fn route_counters(artifact: &str) -> Vec<String> {
+    section(artifact, "process")
+        .lines()
+        .filter(|l| l.contains("\"route.misses\"") || l.contains("\"route.dijkstras\""))
+        .map(|l| l.trim().trim_end_matches(',').to_string())
+        .collect()
+}
+
+#[test]
+fn route_cache_counters_are_process_facts_only() {
+    let da = tmpdir("route-a");
+    let db = tmpdir("route-b");
+    let (ma, mb) = (da.join("m.json"), db.join("m.json"));
+    for (dir, m) in [(&da, &ma), (&db, &mb)] {
+        // The later `--scale` overrides the helper's.
+        let args = ["--scale", "0.02", "--threads", "2", "--metrics", m.to_str().expect("utf8")];
+        let out = run("generate", &dir.join("out"), &args, &[]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    }
+    let one = fs::read_to_string(&ma).expect("metrics written");
+    let two = fs::read_to_string(&mb).expect("metrics written");
+
+    let routes = route_counters(&one);
+    assert_eq!(routes.len(), 2, "both route counters are present: {routes:?}");
+    assert_eq!(routes, route_counters(&two), "same run shape, same misses");
+    assert!(section(&one, "process").contains("\"route.miss_us\""));
+    // Misses depend on how clients split over engines, so they stay out
+    // of the deterministic sections and the shard sidecars.
+    for doc in [&one, &two] {
+        assert!(!section(doc, "counters").contains("route."));
+        assert!(!section(doc, "gauges").contains("route."));
+    }
+    let sidecars: Vec<_> = fs::read_dir(da.join("out").join(".ukraine-ndt"))
+        .expect("shard store written")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.to_string_lossy().ends_with(".counters.txt"))
+        .collect();
+    assert!(!sidecars.is_empty(), "generate saves counters sidecars");
+    for p in sidecars {
+        let text = fs::read_to_string(&p).expect("sidecar reads");
+        assert!(!text.contains("route."), "{} carries a route counter", p.display());
+    }
+    let _ = fs::remove_dir_all(&da);
+    let _ = fs::remove_dir_all(&db);
+}
