@@ -113,13 +113,6 @@ impl DisplacementModel {
     pub fn spike(&self, day: i64) -> f64 {
         self.spec.spike(day)
     }
-
-    /// Behavioural test spike of the historical scenario. Largest around
-    /// the March 10 national outages; a smaller bump in the first days of
-    /// the invasion.
-    pub fn test_spike(day: i64) -> f64 {
-        Scenario::HISTORICAL.spec().spike(day)
-    }
 }
 
 /// Convenience: mean wartime activity of a city under the model.
@@ -207,12 +200,15 @@ mod tests {
 
     #[test]
     fn spike_on_march_10() {
+        // The historical spike is largest around the March 10 national
+        // outages, with a smaller bump in the first days of the invasion.
+        let spike = |day| Scenario::HISTORICAL.spec().spike(day);
         let mar10 = dates::NATIONAL_OUTAGES.day_index();
-        assert!(DisplacementModel::test_spike(mar10) > 1.7);
-        assert!(DisplacementModel::test_spike(mar10 + 1) > 1.2);
-        assert_eq!(DisplacementModel::test_spike(mar10 + 5), 1.0);
-        assert_eq!(DisplacementModel::test_spike(400), 1.0);
-        assert!(DisplacementModel::test_spike(dates::INVASION.day_index()) > 1.1);
+        assert!(spike(mar10) > 1.7);
+        assert!(spike(mar10 + 1) > 1.2);
+        assert_eq!(spike(mar10 + 5), 1.0);
+        assert_eq!(spike(400), 1.0);
+        assert!(spike(dates::INVASION.day_index()) > 1.1);
     }
 
     #[test]

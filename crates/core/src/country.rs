@@ -7,7 +7,9 @@
 //! metric means per study period), which the columnar store — a
 //! checkpoint directory included — persists (`country-b.digest.txt`), and
 //! the `table_ab` analysis stage renders as a side-by-side degradation
-//! table.
+//! table. The stage accounts for country A's rows as every other stage
+//! does; country B's rows never enter this corpus, so its digest holds
+//! only means, and the rows it dropped are not counted anywhere.
 //!
 //! The digest's text form round-trips `f64`s through their bit patterns,
 //! so a digest written by `generate --format columnar` and re-read by
@@ -16,7 +18,7 @@
 //! rejected instead of rendered.
 
 use crate::coverage::{mean_or_nan, metric_samples, Coverage};
-use crate::dataset::StudyData;
+use crate::dataset::{Metric, StudyData};
 use crate::error::AnalysisError;
 use ndt_conflict::Period;
 use ndt_mlab::sim::Scenario;
@@ -51,27 +53,28 @@ const DIGEST_MAGIC: &str = "country-digest v2";
 impl CountryDigest {
     /// Digests a corpus: per-period test counts and metric means. Each
     /// mean drops non-finite and negative cells first, as Table 1's do, so
-    /// a corpus with corrupt rows still digests to finite means. The
-    /// digest keeps no coverage: the A/B table is a side-by-side summary,
-    /// and the report's other stages account for the same rows.
-    pub fn from_study(name: &str, data: &StudyData) -> Result<Self, AnalysisError> {
+    /// a corpus with corrupt rows still digests to finite means. Returns
+    /// the coverage of that reduction too: every period's rows seen, and
+    /// the cells dropped. The digest itself holds only the means, so a
+    /// digest read back from a store carries no coverage.
+    pub fn from_study(name: &str, data: &StudyData) -> (Self, Coverage) {
         let mut cov = Coverage::new();
         let periods = Period::ALL
             .iter()
             .map(|&p| {
-                let q = data.period(p)?;
-                let mut mean =
-                    |col| metric_samples(&q, col, true, &mut cov).map(|v| mean_or_nan(&v));
-                Ok(PeriodStats {
+                let q = data.period(p);
+                cov.see(q.count());
+                let mut mean = |metric| mean_or_nan(&metric_samples(&q, metric, true, &mut cov));
+                PeriodStats {
                     period: p,
                     tests: q.count() as u64,
-                    mean_tput: mean("tput")?,
-                    mean_rtt: mean("min_rtt")?,
-                    mean_loss: mean("loss")?,
-                })
+                    mean_tput: mean(Metric::Tput),
+                    mean_rtt: mean(Metric::MinRtt),
+                    mean_loss: mean(Metric::Loss),
+                }
             })
-            .collect::<Result<_, AnalysisError>>()?;
-        Ok(Self { name: name.to_string(), periods })
+            .collect();
+        (Self { name: name.to_string(), periods }, cov)
     }
 
     /// Text form: a magic line, the country name, one line per period
@@ -206,13 +209,18 @@ pub fn render_comparison(countries: &[&CountryDigest]) -> String {
 }
 
 /// The `table_ab` stage body: country A digested from the corpus in hand,
-/// country B from the digest the pipeline (or the store) attached.
-pub fn table_ab(data: &StudyData) -> Result<String, AnalysisError> {
+/// country B from the digest the pipeline (or the store) attached. The
+/// text closes with the coverage footer of country A's digest, which is
+/// also returned; country B's drops happened in a corpus this run never
+/// holds, so they are not counted.
+pub fn table_ab(data: &StudyData) -> Result<(String, Coverage), AnalysisError> {
     let b = data.second_country.as_ref().ok_or_else(|| AnalysisError::Degenerate {
         what: "table_ab needs a second-country digest (asymmetric scenarios only)".to_string(),
     })?;
-    let a = CountryDigest::from_study("ukraine", data)?;
-    Ok(render_comparison(&[&a, b]))
+    let (a, cov) = CountryDigest::from_study("ukraine", data);
+    let mut out = render_comparison(&[&a, b]);
+    out.push_str(&cov.footer());
+    Ok((out, cov))
 }
 
 /// Generates country B's corpus for a config whose scenario declares a
@@ -220,7 +228,9 @@ pub fn table_ab(data: &StudyData) -> Result<String, AnalysisError> {
 /// scenarios. Country B runs under its own scenario, a salted seed and a
 /// scaled corpus size, but inherits every other knob — including
 /// `threads` and the fault plan — so its digest is deterministic whenever
-/// the primary corpus is.
+/// the primary corpus is. The digest keeps the `country-digest v2` text
+/// form and holds only means: the coverage of country B's reduction is
+/// dropped here, so its corrupt cells are skipped but never counted.
 pub fn second_country_digest(cfg: &SimConfig) -> Result<Option<CountryDigest>, AnalysisError> {
     let spec = cfg.scenario.spec();
     let Some(cs) = &spec.second_country else {
@@ -236,18 +246,19 @@ pub fn second_country_digest(cfg: &SimConfig) -> Result<Option<CountryDigest>, A
         ..*cfg
     };
     let data = StudyData::generate(bcfg);
-    CountryDigest::from_study(&cs.name, &data).map(Some)
+    Ok(Some(CountryDigest::from_study(&cs.name, &data).0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::DropReason;
     use crate::dataset::test_support::{shared_small, small_dataset};
     use proptest::prelude::*;
 
     #[test]
     fn digest_text_roundtrips_bit_exactly() {
-        let d = CountryDigest::from_study("ukraine", shared_small()).expect("computes");
+        let d = shared_digest();
         let back = CountryDigest::parse(&d.to_text()).expect("parses");
         assert_eq!(d, back);
         assert_eq!(d.to_text(), back.to_text());
@@ -278,7 +289,7 @@ mod tests {
     }
 
     fn shared_digest() -> CountryDigest {
-        CountryDigest::from_study("ukraine", shared_small()).expect("computes")
+        CountryDigest::from_study("ukraine", shared_small()).0
     }
 
     #[test]
@@ -330,20 +341,30 @@ mod tests {
     #[test]
     fn faulted_asymmetric_corpora_digest_to_finite_means() {
         // Corrupt rows carry NaN and negated metrics; both countries'
-        // means must skip them, as Table 1's do, not print NaN.
-        let cfg = SimConfig {
-            scenario: Scenario::ASYMMETRIC,
-            faults: ndt_mlab::FaultPlan::MODERATE,
-            ..SimConfig::small(1234)
-        };
-        let a = CountryDigest::from_study("ukraine", &StudyData::generate(cfg)).expect("computes");
-        let b = second_country_digest(&cfg).expect("computes").expect("has a second country");
-        for d in [&a, &b] {
-            for p in [Period::Prewar2022, Period::Wartime2022] {
-                let s = d.stats(p);
-                assert!(s.tests > 0, "{} {p:?} is empty", d.name);
-                for v in [s.mean_tput, s.mean_rtt, s.mean_loss] {
-                    assert!(v.is_finite(), "{} {p:?} has a non-finite mean: {s:?}", d.name);
+        // means must skip them, as Table 1's do, not print NaN. Country
+        // A's digest accounts for every row it saw and every cell it
+        // skipped; a clean corpus skips nothing.
+        for faults in [ndt_mlab::FaultPlan::NONE, ndt_mlab::FaultPlan::MODERATE] {
+            let cfg =
+                SimConfig { scenario: Scenario::ASYMMETRIC, faults, ..SimConfig::small(1234) };
+            let data = StudyData::generate(cfg);
+            let (a, cov) = CountryDigest::from_study("ukraine", &data);
+            assert_eq!(cov.rows_seen, data.unified_len(), "every period's rows are seen");
+            let dropped = |reason| cov.dropped.iter().find(|(r, _)| *r == reason).map(|(_, n)| *n);
+            if faults == ndt_mlab::FaultPlan::NONE {
+                assert!(cov.dropped.is_empty() && cov.footer().is_empty(), "{cov:?}");
+            } else {
+                assert!(dropped(DropReason::NonFinite).is_some_and(|n| n > 0), "{cov:?}");
+                assert!(dropped(DropReason::Negative).is_some_and(|n| n > 0), "{cov:?}");
+            }
+            let b = second_country_digest(&cfg).expect("computes").expect("has a second country");
+            for d in [&a, &b] {
+                for p in [Period::Prewar2022, Period::Wartime2022] {
+                    let s = d.stats(p);
+                    assert!(s.tests > 0, "{} {p:?} is empty", d.name);
+                    for v in [s.mean_tput, s.mean_rtt, s.mean_loss] {
+                        assert!(v.is_finite(), "{} {p:?} has a non-finite mean: {s:?}", d.name);
+                    }
                 }
             }
         }
@@ -360,7 +381,7 @@ mod tests {
         .expect("computes")
         .expect("present");
         data.second_country = Some(b);
-        let t = table_ab(&data).expect("renders");
+        let (t, _) = table_ab(&data).expect("renders");
         assert!(t.contains("ukraine"));
         assert!(t.contains("country-b"));
         assert!(t.contains("wartime"));

@@ -8,9 +8,7 @@
 //! rows the computation saw, how many it had to drop and why, and which
 //! rendered cells rest on too few samples to trust.
 
-use ndt_bq::Query;
-
-use crate::error::AnalysisError;
+use crate::dataset::{Metric, Selection};
 
 /// Sample-size floor below which a cell is flagged, mirroring the paper's
 /// low-n daggers.
@@ -212,33 +210,35 @@ impl Coverage {
     }
 }
 
-/// Extracts a metric column for analysis, dropping (and accounting for)
-/// unusable cells: non-finite values always, negative values when the
-/// metric is nonnegative by construction (throughput, loss rate).
+/// Reads a metric over a selection for analysis, in row order, dropping
+/// (and accounting for) unusable values: non-finite values always,
+/// negative values when the metric is nonnegative by construction
+/// (throughput, loss rate).
 pub fn metric_samples(
-    q: &Query<'_>,
-    col: &str,
+    q: &Selection<'_>,
+    metric: Metric,
     nonneg: bool,
     cov: &mut Coverage,
-) -> Result<Vec<f64>, AnalysisError> {
-    let (finite, non_finite) = q.finite_floats(col)?;
-    cov.drop_rows(DropReason::NonFinite, non_finite);
-    if !nonneg {
-        return Ok(finite);
-    }
-    let mut negative = 0usize;
-    let clean: Vec<f64> = finite
+) -> Vec<f64> {
+    let (mut non_finite, mut negative) = (0usize, 0usize);
+    let clean: Vec<f64> = q
+        .values(metric)
         .into_iter()
         .filter(|v| {
-            let keep = *v >= 0.0;
-            if !keep {
+            if !v.is_finite() {
+                non_finite += 1;
+                false
+            } else if nonneg && *v < 0.0 {
                 negative += 1;
+                false
+            } else {
+                true
             }
-            keep
         })
         .collect();
+    cov.drop_rows(DropReason::NonFinite, non_finite);
     cov.drop_rows(DropReason::Negative, negative);
-    Ok(clean)
+    clean
 }
 
 /// Mean of already-cleaned samples; `NaN` marks an empty cell (renderers
@@ -339,18 +339,29 @@ mod tests {
 
     #[test]
     fn metric_samples_filters_and_accounts() {
-        use ndt_bq::{ColType, Table, Value};
-        let mut t = Table::new("t", &[("v", ColType::Float)]);
-        for v in [1.0, f64::NAN, -2.0, 3.0, f64::INFINITY] {
-            t.push(vec![Value::Float(v)]);
-        }
-        let q = t.query();
+        use ndt_mlab::UnifiedDownloadRow;
+        use ndt_topology::{Asn, Ipv4Addr};
+        let ndt = [1.0, f64::NAN, -2.0, 3.0, f64::INFINITY]
+            .map(|v| UnifiedDownloadRow {
+                day: 0,
+                client_ip: Ipv4Addr(1),
+                server_ip: Ipv4Addr(2),
+                client_asn: Asn(3),
+                oblast: None,
+                city: None,
+                mean_tput_mbps: v,
+                min_rtt_ms: 10.0,
+                loss_rate: 0.0,
+            })
+            .to_vec();
+        let data = crate::StudyData::from_dataset(ndt_mlab::Dataset { ndt, traces: Vec::new() });
+        let q = data.rows();
         let mut cov = Coverage::new();
-        let clean = metric_samples(&q, "v", true, &mut cov).unwrap();
+        let clean = metric_samples(&q, Metric::Tput, true, &mut cov);
         assert_eq!(clean, vec![1.0, 3.0]);
         assert_eq!(cov.dropped_total(), 3);
         let mut cov2 = Coverage::new();
-        let signed = metric_samples(&q, "v", false, &mut cov2).unwrap();
+        let signed = metric_samples(&q, Metric::Tput, false, &mut cov2);
         assert_eq!(signed, vec![1.0, -2.0, 3.0]);
         assert_eq!(cov2.dropped_total(), 2);
     }

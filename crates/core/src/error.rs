@@ -1,23 +1,21 @@
 //! The analysis crate's error type.
 //!
-//! Every `compute()` in this crate returns `Result<_, AnalysisError>`:
-//! data-dependent failures (schema drift in the underlying columnar store,
-//! a slice with no usable rows where the method needs at least one) surface
-//! as typed errors instead of panics, so a degraded corpus — missing days,
-//! corrupt cells, lost sidecars — flows through the whole pipeline and
-//! comes out annotated rather than crashing it.
+//! Every `compute()` in this crate returns `Result<_, AnalysisError>`. The
+//! unified table's schema is fixed in code, so no read of it can fail;
+//! what remains is input a method cannot work with at all (no
+//! second-country digest for the A/B table, an unknown stage name).
+//! Partial degradation — missing days, corrupt cells, lost sidecars —
+//! flows through the whole pipeline and comes out annotated in a
+//! [`crate::coverage::Coverage`] rather than as an error.
 
-use ndt_bq::BqError;
 use std::fmt;
 
 /// A data-dependent analysis failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalysisError {
-    /// The underlying columnar store rejected a query (missing column,
-    /// type mismatch) — schema drift, not data degradation.
-    Bq(BqError),
-    /// A computation's input was degenerate beyond recovery (e.g. the whole
-    /// study window is empty). Partial degradation does *not* produce this:
+    /// A computation's input was degenerate beyond recovery (e.g. the A/B
+    /// table without a second-country digest). Partial degradation does
+    /// *not* produce this:
     /// it yields a result with [`crate::coverage::Coverage`] annotations.
     Degenerate {
         /// Which computation gave up.
@@ -28,7 +26,6 @@ pub enum AnalysisError {
 impl fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AnalysisError::Bq(e) => write!(f, "columnar store error: {e}"),
             AnalysisError::Degenerate { what } => {
                 write!(f, "degenerate input: {what}")
             }
@@ -36,35 +33,11 @@ impl fmt::Display for AnalysisError {
     }
 }
 
-impl std::error::Error for AnalysisError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AnalysisError::Bq(e) => Some(e),
-            AnalysisError::Degenerate { .. } => None,
-        }
-    }
-}
-
-impl From<BqError> for AnalysisError {
-    fn from(e: BqError) -> Self {
-        AnalysisError::Bq(e)
-    }
-}
+impl std::error::Error for AnalysisError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn displays_wrap_the_source() {
-        let e = AnalysisError::from(BqError::NoSuchColumn {
-            table: "t".into(),
-            column: "c".into(),
-            available: vec!["a".into()],
-        });
-        assert!(e.to_string().contains("no column 'c'"));
-        assert!(std::error::Error::source(&e).is_some());
-    }
 
     #[test]
     fn degenerate_is_descriptive() {

@@ -9,10 +9,9 @@
 //! normality.
 
 use crate::coverage::{metric_samples, Coverage};
-use crate::dataset::StudyData;
+use crate::dataset::{Metric, Selection, StudyData};
 use crate::error::AnalysisError;
 use crate::render::text_table;
-use ndt_bq::Query;
 use ndt_conflict::Period;
 use ndt_geo::city::KEY_CITIES;
 use ndt_stats::{jarque_bera, mann_whitney_u, welch_t_test, JarqueBera, MannWhitney, WelchTTest};
@@ -53,48 +52,42 @@ pub struct Robustness {
     pub coverage: Coverage,
 }
 
-fn pair(
-    pre: &Query<'_>,
-    war: &Query<'_>,
-    col: &str,
-    cov: &mut Coverage,
-) -> Result<TestPair, AnalysisError> {
-    let a = metric_samples(pre, col, true, cov)?;
-    let b = metric_samples(war, col, true, cov)?;
+fn pair(pre: &Selection<'_>, war: &Selection<'_>, metric: Metric, cov: &mut Coverage) -> TestPair {
+    let a = metric_samples(pre, metric, true, cov);
+    let b = metric_samples(war, metric, true, cov);
     let mut pooled = a.clone();
     pooled.extend_from_slice(&b);
-    Ok(TestPair {
+    TestPair {
         welch: welch_t_test(&a, &b),
         mann_whitney: mann_whitney_u(&a, &b),
         normality: jarque_bera(&pooled),
-    })
+    }
 }
 
 /// Runs both tests on every Table 1 slice.
 pub fn compute(data: &StudyData) -> Result<Robustness, AnalysisError> {
     let mut cov = Coverage::new();
     let mut rows = Vec::new();
-    let mut push = |name: &str, pre: Query<'_>, war: Query<'_>, cov: &mut Coverage| {
+    let mut push = |name: &str, pre: Selection<'_>, war: Selection<'_>, cov: &mut Coverage| {
         cov.see(pre.count() + war.count());
         cov.note_sample(name, pre.count().min(war.count()));
         rows.push(RobustnessRow {
             name: name.to_string(),
-            min_rtt: pair(&pre, &war, "min_rtt", cov)?,
-            tput: pair(&pre, &war, "tput", cov)?,
-            loss: pair(&pre, &war, "loss", cov)?,
+            min_rtt: pair(&pre, &war, Metric::MinRtt, cov),
+            tput: pair(&pre, &war, Metric::Tput, cov),
+            loss: pair(&pre, &war, Metric::Loss, cov),
         });
-        Ok::<(), AnalysisError>(())
     };
     for city in KEY_CITIES {
         push(
             city,
-            data.city_period(city, Period::Prewar2022)?,
-            data.city_period(city, Period::Wartime2022)?,
+            data.city_period(city, Period::Prewar2022),
+            data.city_period(city, Period::Wartime2022),
             &mut cov,
-        )?;
+        );
     }
-    let (pre, war) = (data.period(Period::Prewar2022)?, data.period(Period::Wartime2022)?);
-    push("National", pre, war, &mut cov)?;
+    let (pre, war) = (data.period(Period::Prewar2022), data.period(Period::Wartime2022));
+    push("National", pre, war, &mut cov);
     Ok(Robustness { rows, coverage: cov })
 }
 

@@ -7,7 +7,7 @@
 //! spike in test counts (2a) near March 10."
 
 use crate::coverage::{Coverage, DropReason};
-use crate::dataset::StudyData;
+use crate::dataset::{Metric, StudyData};
 use crate::error::AnalysisError;
 use crate::render::csv;
 use ndt_conflict::calendar::Date;
@@ -62,14 +62,14 @@ fn year_series(
 ) -> Result<YearSeries, AnalysisError> {
     let start = Date::new(year, 1, 1).day_index();
     let end = start + 108;
-    let q = data.unified.query().try_filter_int_range("day", start, end)?;
+    let q = data.rows().days(start, end);
     let mut rtt = DailySeries::new();
     let mut tput = DailySeries::new();
     let mut loss = DailySeries::new();
-    let days_col = q.try_ints("day")?;
-    let rtt_col = q.try_floats("min_rtt")?;
-    let tput_col = q.try_floats("tput")?;
-    let loss_col = q.try_floats("loss")?;
+    let days_col = q.day_values();
+    let rtt_col = q.values(Metric::MinRtt);
+    let tput_col = q.values(Metric::Tput);
+    let loss_col = q.values(Metric::Loss);
     cov.see(days_col.len());
     let mut counts: std::collections::BTreeMap<i64, usize> = Default::default();
     for (((d, r), t), l) in days_col.iter().zip(&rtt_col).zip(&tput_col).zip(&loss_col) {

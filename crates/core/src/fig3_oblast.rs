@@ -5,7 +5,7 @@
 //! with worsening metrics — the same regions with active conflict."
 
 use crate::coverage::{mean_or_nan, metric_samples, Coverage, DropReason};
-use crate::dataset::StudyData;
+use crate::dataset::{Metric, Selection, StudyData};
 use crate::error::AnalysisError;
 use crate::render::{csv, pct};
 use ndt_conflict::Period;
@@ -36,30 +36,30 @@ pub struct OblastChanges {
 pub fn compute(data: &StudyData) -> Result<OblastChanges, AnalysisError> {
     let mut cov = Coverage::new();
     for p in [Period::Prewar2022, Period::Wartime2022] {
-        let all = data.period(p)?;
+        let all = data.period(p);
         cov.see(all.count());
-        let unlocated = all.count() - all.try_filter_not_null("oblast")?.count();
+        let unlocated = all.count() - all.with_oblast().count();
         cov.drop_rows(DropReason::Unlocated, unlocated);
     }
     let mut rows = Vec::new();
     for oblast in Oblast::all() {
-        let pre = data.oblast_period(oblast.name(), Period::Prewar2022)?;
-        let war = data.oblast_period(oblast.name(), Period::Wartime2022)?;
+        let pre = data.oblast_period(oblast, Period::Prewar2022);
+        let war = data.oblast_period(oblast, Period::Wartime2022);
         if pre.is_empty() || war.is_empty() {
             cov.note_sample(oblast.name(), pre.count().min(war.count()));
             continue;
         }
-        let m = |q: &ndt_bq::Query<'_>, col: &str, cov: &mut Coverage| {
-            metric_samples(q, col, true, cov).map(|v| mean_or_nan(&v))
+        let m = |q: &Selection<'_>, metric, cov: &mut Coverage| {
+            mean_or_nan(&metric_samples(q, metric, true, cov))
         };
         let rel = |a: f64, b: f64| (b - a) / a;
         let row = OblastChange {
             oblast,
             front: oblast.front(),
             d_tests: rel(pre.count() as f64, war.count() as f64),
-            d_min_rtt: rel(m(&pre, "min_rtt", &mut cov)?, m(&war, "min_rtt", &mut cov)?),
-            d_tput: rel(m(&pre, "tput", &mut cov)?, m(&war, "tput", &mut cov)?),
-            d_loss: rel(m(&pre, "loss", &mut cov)?, m(&war, "loss", &mut cov)?),
+            d_min_rtt: rel(m(&pre, Metric::MinRtt, &mut cov), m(&war, Metric::MinRtt, &mut cov)),
+            d_tput: rel(m(&pre, Metric::Tput, &mut cov), m(&war, Metric::Tput, &mut cov)),
+            d_loss: rel(m(&pre, Metric::Loss, &mut cov), m(&war, Metric::Loss, &mut cov)),
         };
         // A region whose every metric value in a period was corrupt cannot
         // report a change; flag it instead of emitting NaN panels.

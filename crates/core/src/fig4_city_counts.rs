@@ -8,8 +8,8 @@ use crate::coverage::Coverage;
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
 use crate::render::csv;
-use ndt_bq::Value;
 use ndt_conflict::calendar::Date;
+use ndt_geo::city::city_by_name;
 use std::collections::BTreeMap;
 
 /// Daily counts for the two besieged cities over the 2022 window.
@@ -27,14 +27,12 @@ pub struct CityCounts {
 pub fn compute(data: &StudyData) -> Result<CityCounts, AnalysisError> {
     let (start, end) = (Date::new(2022, 1, 1).day_index(), Date::new(2022, 1, 1).day_index() + 108);
     let mut cov = Coverage::new();
-    let count_city = |city: &str, cov: &mut Coverage| -> Result<BTreeMap<i64, usize>, AnalysisError> {
-        let q = data
-            .unified
-            .query()
-            .try_filter_int_range("day", start, end)?
-            .try_filter_eq("city", &Value::from(city))?;
+    let count_city = |city: &str, cov: &mut Coverage| -> BTreeMap<i64, usize> {
+        let days = match city_by_name(city) {
+            Some((id, _)) => data.rows().days(start, end).city(id).day_values(),
+            None => Vec::new(),
+        };
         let mut counts: BTreeMap<i64, usize> = (start..end).map(|d| (d, 0)).collect();
-        let days = q.try_ints("day")?;
         cov.see(days.len());
         cov.note_sample(city, days.len());
         for d in days {
@@ -42,10 +40,10 @@ pub fn compute(data: &StudyData) -> Result<CityCounts, AnalysisError> {
                 *c += 1;
             }
         }
-        Ok(counts)
+        counts
     };
-    let kharkiv = count_city("Kharkiv", &mut cov)?;
-    let mariupol = count_city("Mariupol", &mut cov)?;
+    let kharkiv = count_city("Kharkiv", &mut cov);
+    let mariupol = count_city("Mariupol", &mut cov);
     Ok(CityCounts { kharkiv, mariupol, coverage: cov })
 }
 

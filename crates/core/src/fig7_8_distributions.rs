@@ -6,7 +6,7 @@
 //! spike near 0), but the other metrics are slightly skewed."
 
 use crate::coverage::{metric_samples, Coverage};
-use crate::dataset::StudyData;
+use crate::dataset::{Metric, StudyData};
 use crate::error::AnalysisError;
 use crate::render::csv;
 use ndt_conflict::Period;
@@ -40,15 +40,15 @@ fn distributions(
     data: &StudyData,
     period: Period,
     cov: &mut Coverage,
-) -> Result<(MetricDistributions, [Vec<f64>; 3]), AnalysisError> {
-    let q = data.period(period)?;
+) -> (MetricDistributions, [Vec<f64>; 3]) {
+    let q = data.period(period);
     cov.see(q.count());
     let mut min_rtt = Histogram::new(0.0, 100.0, 50);
     let mut tput = Histogram::new(0.0, 200.0, 50);
     let mut loss = Histogram::new(0.0, 0.25, 50);
-    let rtt_v = metric_samples(&q, "min_rtt", true, cov)?;
-    let tput_v = metric_samples(&q, "tput", true, cov)?;
-    let loss_v = metric_samples(&q, "loss", true, cov)?;
+    let rtt_v = metric_samples(&q, Metric::MinRtt, true, cov);
+    let tput_v = metric_samples(&q, Metric::Tput, true, cov);
+    let loss_v = metric_samples(&q, Metric::Loss, true, cov);
     min_rtt.extend(&rtt_v);
     tput.extend(&tput_v);
     loss.extend(&loss_v);
@@ -57,16 +57,16 @@ fn distributions(
         _ => "wartime",
     };
     cov.note_sample(label, rtt_v.len().min(tput_v.len()).min(loss_v.len()));
-    Ok((MetricDistributions { period, min_rtt, tput, loss }, [rtt_v, tput_v, loss_v]))
+    (MetricDistributions { period, min_rtt, tput, loss }, [rtt_v, tput_v, loss_v])
 }
 
 /// Computes both periods' distributions and the per-metric KS shift.
 pub fn compute(data: &StudyData) -> Result<Distributions, AnalysisError> {
     let mut cov = Coverage::new();
     let (prewar, [pre_rtt, pre_tput, pre_loss]) =
-        distributions(data, Period::Prewar2022, &mut cov)?;
+        distributions(data, Period::Prewar2022, &mut cov);
     let (wartime, [war_rtt, war_tput, war_loss]) =
-        distributions(data, Period::Wartime2022, &mut cov)?;
+        distributions(data, Period::Wartime2022, &mut cov);
     Ok(Distributions {
         prewar,
         wartime,
@@ -166,8 +166,7 @@ mod tests {
     #[test]
     fn metrics_are_skewed_like_the_paper() {
         // Throughput is right-skewed: mean > median within the prewar data.
-        let q = shared_small().period(Period::Prewar2022).expect("schema");
-        let tput = q.try_floats("tput").expect("schema");
+        let tput = shared_small().period(Period::Prewar2022).values(Metric::Tput);
         let (mean, median) = (ndt_stats::mean(&tput), ndt_stats::median(&tput));
         assert!(mean > median, "tput mean {mean} <= median {median}");
     }

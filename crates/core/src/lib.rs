@@ -23,11 +23,13 @@
 //! | [`fig9_path_perf`] | Figure 9 — path churn vs performance change |
 //!
 //! [`dataset::StudyData`] wraps the generated corpus: the
-//! `unified_download`-shaped rows live in an `ndt-bq` table (the §4 analyses
-//! are written as BigQuery-style queries, as in the paper's methodology);
-//! the scamper rows ([`dataset::StudyData::traces`]) are consumed natively
-//! (BigQuery holds scamper data in nested records, which our columnar
-//! stand-in does not model).
+//! `unified_download`-shaped rows live in one typed columnar table, the
+//! same nine columns the store encodes, and the §4 analyses slice it with
+//! a [`dataset::Selection`] by period, city or oblast and read
+//! [`dataset::Metric`] columns over it, as the paper's BigQuery queries
+//! do; the scamper rows ([`dataset::StudyData::traces`]) are consumed
+//! natively (BigQuery holds scamper data in nested records, which the
+//! columnar table does not model).
 //!
 //! Three extension modules implement the paper's stated future work and
 //! self-identified limitations: [`ext_alias`] (router alias resolution vs
@@ -78,7 +80,7 @@ pub mod table5_6_as_detail;
 
 pub use country::{second_country_digest, CountryDigest};
 pub use coverage::{Coverage, DropReason, LOW_SAMPLE_N};
-pub use dataset::{StudyData, StudyDataBuilder};
+pub use dataset::{Metric, Selection, StudyData, StudyDataBuilder};
 pub use error::AnalysisError;
 pub use report::{
     assemble_staged_report, run_analysis_stage, stage_spec, StageFailure, StageOutput, StageSpec,

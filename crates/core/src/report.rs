@@ -239,7 +239,10 @@ pub const SCENARIO_STAGES: [StageSpec; 1] = [StageSpec {
     name: "table_ab",
     title: "Scenario A/B (two-country degradation comparison)",
     artifacts: &["table_ab_comparison.txt"],
-    run: |data| rendered(country::table_ab(data)?, Coverage::new()),
+    run: |data| {
+        let (text, coverage) = country::table_ab(data)?;
+        rendered(text, coverage)
+    },
 }];
 
 /// Section title of the coverage footer that closes every report.

@@ -7,10 +7,9 @@
 //! cascading effect on the entire country").
 
 use crate::coverage::{mean_or_nan, metric_samples, num_cell, Coverage, DropReason};
-use crate::dataset::StudyData;
+use crate::dataset::{Metric, Selection, StudyData};
 use crate::error::AnalysisError;
 use crate::render::text_table;
-use ndt_bq::Query;
 use ndt_conflict::Period;
 use ndt_geo::city::KEY_CITIES;
 use ndt_stats::{welch_t_test, WelchTTest};
@@ -41,23 +40,23 @@ pub struct CityTable {
     pub coverage: Coverage,
 }
 
-fn row_from_queries(
+fn row_from_selections(
     name: &str,
-    pre: &Query<'_>,
-    war: &Query<'_>,
+    pre: &Selection<'_>,
+    war: &Selection<'_>,
     cov: &mut Coverage,
-) -> Result<CityRow, AnalysisError> {
-    let rtt_pre = metric_samples(pre, "min_rtt", true, cov)?;
-    let rtt_war = metric_samples(war, "min_rtt", true, cov)?;
-    let tput_pre = metric_samples(pre, "tput", true, cov)?;
-    let tput_war = metric_samples(war, "tput", true, cov)?;
-    let loss_pre = metric_samples(pre, "loss", true, cov)?;
-    let loss_war = metric_samples(war, "loss", true, cov)?;
+) -> CityRow {
+    let rtt_pre = metric_samples(pre, Metric::MinRtt, true, cov);
+    let rtt_war = metric_samples(war, Metric::MinRtt, true, cov);
+    let tput_pre = metric_samples(pre, Metric::Tput, true, cov);
+    let tput_war = metric_samples(war, Metric::Tput, true, cov);
+    let loss_pre = metric_samples(pre, Metric::Loss, true, cov);
+    let loss_war = metric_samples(war, Metric::Loss, true, cov);
     let n_pre = rtt_pre.len().min(tput_pre.len()).min(loss_pre.len());
     let n_war = rtt_war.len().min(tput_war.len()).min(loss_war.len());
     cov.note_sample(format!("{name}/pre"), n_pre);
     cov.note_sample(format!("{name}/war"), n_war);
-    Ok(CityRow {
+    CityRow {
         name: name.to_string(),
         tests_prewar: pre.count(),
         tests_wartime: war.count(),
@@ -70,7 +69,7 @@ fn row_from_queries(
         loss_prewar: mean_or_nan(&loss_pre),
         loss_wartime: mean_or_nan(&loss_war),
         loss_test: welch_t_test(&loss_pre, &loss_war),
-    })
+    }
 }
 
 /// Computes the table: the paper's four key cities plus the national
@@ -79,19 +78,19 @@ pub fn compute(data: &StudyData) -> Result<CityTable, AnalysisError> {
     let mut cov = Coverage::new();
     let mut rows = Vec::new();
     for p in [Period::Prewar2022, Period::Wartime2022] {
-        let all = data.period(p)?;
+        let all = data.period(p);
         cov.see(all.count());
-        let unlocated = all.count() - all.try_filter_not_null("city")?.count();
+        let unlocated = all.count() - all.with_city().count();
         cov.drop_rows(DropReason::Unlocated, unlocated);
     }
     for city in KEY_CITIES {
-        let pre = data.city_period(city, Period::Prewar2022)?;
-        let war = data.city_period(city, Period::Wartime2022)?;
-        rows.push(row_from_queries(city, &pre, &war, &mut cov)?);
+        let pre = data.city_period(city, Period::Prewar2022);
+        let war = data.city_period(city, Period::Wartime2022);
+        rows.push(row_from_selections(city, &pre, &war, &mut cov));
     }
-    let pre = data.period(Period::Prewar2022)?;
-    let war = data.period(Period::Wartime2022)?;
-    rows.push(row_from_queries("National", &pre, &war, &mut cov)?);
+    let pre = data.period(Period::Prewar2022);
+    let war = data.period(Period::Wartime2022);
+    rows.push(row_from_selections("National", &pre, &war, &mut cov));
     Ok(CityTable { rows, coverage: cov })
 }
 

@@ -1,7 +1,7 @@
 //! Table 4: raw values for region/oblast-level metrics, prewar and wartime.
 
 use crate::coverage::{mean_or_nan, metric_samples, num_cell, Coverage, DropReason};
-use crate::dataset::StudyData;
+use crate::dataset::{Metric, StudyData};
 use crate::error::AnalysisError;
 use crate::render::text_table;
 use ndt_conflict::Period;
@@ -38,28 +38,28 @@ pub struct OblastTable {
 pub fn compute(data: &StudyData) -> Result<OblastTable, AnalysisError> {
     let mut cov = Coverage::new();
     for p in [Period::Prewar2022, Period::Wartime2022] {
-        let all = data.period(p)?;
+        let all = data.period(p);
         cov.see(all.count());
-        let unlocated = all.count() - all.try_filter_not_null("oblast")?.count();
+        let unlocated = all.count() - all.with_oblast().count();
         cov.drop_rows(DropReason::Unlocated, unlocated);
     }
-    let cell = |oblast: Oblast, p: Period, tag: &str, cov: &mut Coverage| -> Result<OblastCell, AnalysisError> {
-        let q = data.oblast_period(oblast.name(), p)?;
-        let tput = metric_samples(&q, "tput", true, cov)?;
-        let rtt = metric_samples(&q, "min_rtt", true, cov)?;
-        let loss = metric_samples(&q, "loss", true, cov)?;
+    let cell = |oblast: Oblast, p: Period, tag: &str, cov: &mut Coverage| -> OblastCell {
+        let q = data.oblast_period(oblast, p);
+        let tput = metric_samples(&q, Metric::Tput, true, cov);
+        let rtt = metric_samples(&q, Metric::MinRtt, true, cov);
+        let loss = metric_samples(&q, Metric::Loss, true, cov);
         cov.note_sample(format!("{}/{}", oblast.name(), tag), tput.len().min(rtt.len()).min(loss.len()));
-        Ok(OblastCell {
+        OblastCell {
             tput_mbps: mean_or_nan(&tput),
             min_rtt_ms: mean_or_nan(&rtt),
             loss: mean_or_nan(&loss),
             tests: q.count(),
-        })
+        }
     };
     let mut rows = Vec::new();
     for o in Oblast::all() {
-        let prewar = cell(o, Period::Prewar2022, "pre", &mut cov)?;
-        let wartime = cell(o, Period::Wartime2022, "war", &mut cov)?;
+        let prewar = cell(o, Period::Prewar2022, "pre", &mut cov);
+        let wartime = cell(o, Period::Wartime2022, "war", &mut cov);
         if prewar.tests > 0 || wartime.tests > 0 {
             rows.push(OblastRow { oblast: o, prewar, wartime });
         }

@@ -149,6 +149,15 @@ mod tests {
         }
     }
 
+    /// Catalogue names are unique, Sevastopol included, so a filter on a
+    /// city's id keeps exactly the rows a filter on its name keeps.
+    #[test]
+    fn city_names_are_unique() {
+        let names: std::collections::HashSet<&str> = all_cities().map(|(_, c)| c.name).collect();
+        assert_eq!(names.len(), all_cities().count(), "a city name repeats");
+        assert!(names.contains(SEVASTOPOL.name));
+    }
+
     #[test]
     fn unknown_city_is_none() {
         assert!(city_by_name("El Dorado").is_none());

@@ -22,8 +22,12 @@
 //! [`UnifiedBatch`] is the one columnar form of unified rows: the writer
 //! encodes each group from [`UnifiedBatch::from_rows`],
 //! [`scan_unified_batches`] hands each validated group back as one (owned
-//! column vectors, no per-row structs, no string materialization), and
-//! [`push_unified_batch`] ingests it into the analysis table. The
+//! column vectors, no per-row structs), and `ndt-analysis` appends the
+//! batches into one `UnifiedBatch` that is its §4 analysis table. The
+//! oblast and city columns keep their store codes there; the sentinels
+//! for unlocated rows stay private to this module, and callers compare
+//! codes through [`UnifiedBatch::oblast_code`], [`UnifiedBatch::city_code`],
+//! [`UnifiedBatch::has_oblast`] and [`UnifiedBatch::has_city`]. The
 //! row-wise readers ([`scan_unified`], [`scan_traces`]) materialize typed
 //! row structs from the same scan.
 //!
@@ -47,10 +51,10 @@ use ndt_topology::{Asn, Ipv4Addr};
 use std::io::Write;
 
 /// Sentinel in the `oblast` column for rows MaxMind failed to locate.
-pub const OBLAST_NONE: u32 = 0xFF;
+const OBLAST_NONE: u32 = 0xFF;
 /// Sentinel in the `city` column for rows without a city label (city ids
 /// are `u16`, so the first value outside that range is free).
-pub const CITY_NONE: u32 = 0x1_0000;
+const CITY_NONE: u32 = 0x1_0000;
 
 /// `Oblast → u8` index in the stable Table 4 order ([`Oblast::all`]).
 fn oblast_index(o: Oblast) -> u8 {
@@ -359,27 +363,27 @@ fn decode_traces_batch(batch: Batch) -> Result<Vec<Scamper1Row>, StoreError> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RowFilter;
 
-/// One validated group of unified rows in columnar form — the unit every
-/// ingest path hands to [`push_unified_batch`]. Column vectors are owned
-/// (moved straight out of the page decoder, or transposed by
+/// Unified rows in columnar form: one group as the writer encodes it and
+/// the scan hands it back, or a whole corpus appended batch by batch (the
+/// §4 analysis table of `ndt-analysis`). Column vectors are owned (moved
+/// straight out of the page decoder, or transposed by
 /// [`UnifiedBatch::from_rows`]), there are no per-row structs, and the
-/// categoricals stay as their store codes: no string materializes until
-/// table ingestion interns each *distinct* label once.
+/// categoricals stay as their store codes.
 ///
 /// Invariants (enforced by [`scan_unified_batches`] before the batch is
-/// handed out, and by construction in [`UnifiedBatch::from_rows`]): all
-/// nine vectors have equal length, every `oblast` value is
-/// [`OBLAST_NONE`] or a valid oblast index, every `city` value is
-/// [`CITY_NONE`] or a valid city id.
+/// handed out, and by construction in [`UnifiedBatch::from_rows`],
+/// [`UnifiedBatch::append`] and [`UnifiedBatch::truncate`]): all nine
+/// vectors have equal length, and every `oblast` and `city` value is a
+/// valid code or the column's private "unlocated" sentinel.
 #[derive(Debug, Clone, Default)]
 pub struct UnifiedBatch {
     pub day: Vec<i64>,
     pub client_ip: Vec<u32>,
     pub server_ip: Vec<u32>,
     pub client_asn: Vec<u32>,
-    /// Validated oblast indices ([`OBLAST_NONE`] = unlocated).
+    /// Validated oblast codes (see [`UnifiedBatch::oblast_code`]).
     pub oblast: Vec<u32>,
-    /// Validated city ids ([`CITY_NONE`] = unlabeled).
+    /// Validated city codes (see [`UnifiedBatch::city_code`]).
     pub city: Vec<u32>,
     pub tput: Vec<f64>,
     pub min_rtt: Vec<f64>,
@@ -397,8 +401,54 @@ impl UnifiedBatch {
         self.day.is_empty()
     }
 
+    /// The `oblast` column's code for rows located to `o`.
+    pub fn oblast_code(o: Oblast) -> u32 {
+        u32::from(oblast_index(o))
+    }
+
+    /// The `city` column's code for rows labeled `c`.
+    pub fn city_code(c: CityId) -> u32 {
+        u32::from(c.0)
+    }
+
+    /// Whether row `i` is located to an oblast.
+    pub fn has_oblast(&self, i: usize) -> bool {
+        self.oblast[i] != OBLAST_NONE
+    }
+
+    /// Whether row `i` carries a city label.
+    pub fn has_city(&self, i: usize) -> bool {
+        self.city[i] != CITY_NONE
+    }
+
+    /// Appends every row of `other`, in order.
+    pub fn append(&mut self, other: &UnifiedBatch) {
+        self.day.extend_from_slice(&other.day);
+        self.client_ip.extend_from_slice(&other.client_ip);
+        self.server_ip.extend_from_slice(&other.server_ip);
+        self.client_asn.extend_from_slice(&other.client_asn);
+        self.oblast.extend_from_slice(&other.oblast);
+        self.city.extend_from_slice(&other.city);
+        self.tput.extend_from_slice(&other.tput);
+        self.min_rtt.extend_from_slice(&other.min_rtt);
+        self.loss.extend_from_slice(&other.loss);
+    }
+
+    /// Drops every row past `len`.
+    pub fn truncate(&mut self, len: usize) {
+        self.day.truncate(len);
+        self.client_ip.truncate(len);
+        self.server_ip.truncate(len);
+        self.client_asn.truncate(len);
+        self.oblast.truncate(len);
+        self.city.truncate(len);
+        self.tput.truncate(len);
+        self.min_rtt.truncate(len);
+        self.loss.truncate(len);
+    }
+
     /// Transposes row structs into one batch — the form the shard writer
-    /// encodes and [`push_unified_batch`] ingests.
+    /// encodes and the analysis table appends.
     pub fn from_rows(rows: &[UnifiedDownloadRow]) -> Self {
         let mut b = UnifiedBatch {
             day: Vec::with_capacity(rows.len()),
@@ -416,8 +466,8 @@ impl UnifiedBatch {
             b.client_ip.push(r.client_ip.0);
             b.server_ip.push(r.server_ip.0);
             b.client_asn.push(r.client_asn.0);
-            b.oblast.push(r.oblast.map_or(OBLAST_NONE, |o| oblast_index(o) as u32));
-            b.city.push(r.city.map_or(CITY_NONE, |c| c.0 as u32));
+            b.oblast.push(r.oblast.map_or(OBLAST_NONE, Self::oblast_code));
+            b.city.push(r.city.map_or(CITY_NONE, Self::city_code));
             b.tput.push(r.mean_tput_mbps);
             b.min_rtt.push(r.min_rtt_ms);
             b.loss.push(r.loss_rate);
@@ -538,95 +588,6 @@ pub fn scan_traces(
     Ok((rows, scan.stats()))
 }
 
-/// Ingests one columnar batch into a table created by
-/// `ndt_mlab::schema::empty_unified_table`, producing exactly the cells
-/// the test-only row-at-a-time oracle `push_unified_row` does (checked by
-/// `batch_ingest_matches_row_ingest`), without constructing a row struct or
-/// per-row `String`: integer and float columns append raw values, and
-/// the two dictionary columns intern each *distinct* label once per
-/// batch, then append codes.
-pub fn push_unified_batch(t: &mut ndt_bq::Table, b: &UnifiedBatch) -> Result<(), StoreError> {
-    use ndt_bq::{Column, NULL_CODE};
-
-    fn push_ints(col: &mut Column, values: impl Iterator<Item = i64>) -> Result<(), StoreError> {
-        match col {
-            Column::Int(c) => {
-                c.extend(values.map(Some));
-                Ok(())
-            }
-            _ => Err(StoreError::Schema("unified table column is not Int".to_string())),
-        }
-    }
-
-    fn push_floats(col: &mut Column, values: &[f64]) -> Result<(), StoreError> {
-        match col {
-            Column::Float(c) => {
-                c.extend(values.iter().map(|&v| Some(v)));
-                Ok(())
-            }
-            _ => Err(StoreError::Schema("unified table column is not Float".to_string())),
-        }
-    }
-
-    fn col<'t>(t: &'t mut ndt_bq::Table, name: &str) -> Result<&'t mut Column, StoreError> {
-        t.try_column_mut(name).map_err(|e| StoreError::Schema(e.to_string()))
-    }
-
-    push_ints(col(t, "day")?, b.day.iter().copied())?;
-    push_ints(col(t, "client_ip")?, b.client_ip.iter().map(|&v| v as i64))?;
-    push_ints(col(t, "server_ip")?, b.server_ip.iter().map(|&v| v as i64))?;
-    push_ints(col(t, "client_asn")?, b.client_asn.iter().map(|&v| v as i64))?;
-
-    match col(t, "oblast")? {
-        Column::Dict(d) => {
-            // 27 oblasts: a tiny lazily-filled remap keeps interning off
-            // the per-row path entirely.
-            let mut remap = [NULL_CODE; OBLAST_NONE as usize];
-            for &v in &b.oblast {
-                if v == OBLAST_NONE {
-                    d.push_null();
-                    continue;
-                }
-                let slot = &mut remap[v as usize];
-                if *slot == NULL_CODE {
-                    let o = decode_oblast(v)?.expect("validated non-sentinel oblast");
-                    *slot = d.intern(o.name());
-                }
-                d.push_code(*slot);
-            }
-        }
-        _ => return Err(StoreError::Schema("oblast column is not dictionary-encoded".to_string())),
-    }
-
-    match col(t, "city")? {
-        Column::Dict(d) => {
-            let max_city = max_city_id();
-            let mut remap = vec![NULL_CODE; max_city as usize + 1];
-            for &v in &b.city {
-                if v == CITY_NONE {
-                    d.push_null();
-                    continue;
-                }
-                let city = decode_city(v, max_city)?.expect("validated non-sentinel city");
-                let slot = &mut remap[v as usize];
-                if *slot == NULL_CODE {
-                    *slot = d.intern(city.get().name);
-                }
-                d.push_code(*slot);
-            }
-        }
-        _ => return Err(StoreError::Schema("city column is not dictionary-encoded".to_string())),
-    }
-
-    push_floats(col(t, "tput")?, &b.tput)?;
-    push_floats(col(t, "min_rtt")?, &b.min_rtt)?;
-    push_floats(col(t, "loss")?, &b.loss)?;
-
-    t.commit_batch()
-        .map_err(|e| StoreError::Schema(format!("unified batch ingest failed: {e}")))?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,10 +651,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn cell(t: &ndt_bq::Table, row: usize, col: &str) -> ndt_bq::Value {
-        t.try_column(col).expect("schema column").get(row)
+    /// Both batches hold the same cells, floats compared by their bits
+    /// (the corpus carries NaN metrics).
+    fn same_bits(a: &UnifiedBatch, b: &UnifiedBatch) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        a.day == b.day
+            && a.client_ip == b.client_ip
+            && a.server_ip == b.server_ip
+            && a.client_asn == b.client_asn
+            && a.oblast == b.oblast
+            && a.city == b.city
+            && bits(&a.tput) == bits(&b.tput)
+            && bits(&a.min_rtt) == bits(&b.min_rtt)
+            && bits(&a.loss) == bits(&b.loss)
     }
 
+    /// The table appended from a shard's scanned batches is the table
+    /// transposed from the rows the shard was written from.
     #[test]
     fn batch_ingest_matches_row_ingest() {
         let mut ds = sample();
@@ -706,40 +680,10 @@ mod tests {
         write_unified(std::io::BufWriter::new(file), &ds.ndt).expect("writes");
         let shard = Shard::open(&path).expect("opens");
 
-        let mut scanned = crate::schema::empty_unified_table();
-        scan_unified_batches(&shard, RowFilter, |b| {
-            push_unified_batch(&mut scanned, &b).expect("ingests");
-        })
-        .expect("scans");
-        let mut transposed = crate::schema::empty_unified_table();
-        for chunk in ds.ndt.chunks(DEFAULT_GROUP_ROWS) {
-            push_unified_batch(&mut transposed, &UnifiedBatch::from_rows(chunk)).expect("ingests");
-        }
-
-        let rowwise = ds.unified_table();
-        for (how, batched) in [("scanned", &scanned), ("transposed", &transposed)] {
-            assert_eq!(batched.len(), rowwise.len(), "{how}");
-            for col in ["day", "client_ip", "server_ip", "client_asn", "oblast", "city"] {
-                for i in 0..batched.len() {
-                    assert_eq!(
-                        cell(batched, i, col),
-                        cell(&rowwise, i, col),
-                        "{how}: cell ({i}, {col}) diverged between batch and row ingest"
-                    );
-                }
-            }
-            // Float cells compare bitwise (the corpus carries NaN metrics).
-            for col in ["tput", "min_rtt", "loss"] {
-                for i in 0..batched.len() {
-                    match (cell(batched, i, col), cell(&rowwise, i, col)) {
-                        (ndt_bq::Value::Float(a), ndt_bq::Value::Float(b)) => {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{how}: cell ({i}, {col}) diverged")
-                        }
-                        (a, b) => assert_eq!(a, b, "{how}: cell ({i}, {col}) diverged"),
-                    }
-                }
-            }
-        }
+        let mut scanned = UnifiedBatch::default();
+        scan_unified_batches(&shard, RowFilter, |b| scanned.append(&b)).expect("scans");
+        assert!(same_bits(&scanned, &UnifiedBatch::from_rows(&ds.ndt)));
+        assert!(!scanned.has_oblast(0) && !scanned.has_city(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,5 @@
 //! Published row shapes, mirroring the two BigQuery tables the paper reads.
 
-use ndt_bq::{ColType, Table};
 use ndt_geo::{CityId, Oblast};
 use ndt_topology::{Asn, Ipv4Addr};
 
@@ -68,99 +67,4 @@ pub struct Dataset {
     pub ndt: Vec<UnifiedDownloadRow>,
     /// §5's table: one traceroute row per raw test.
     pub traces: Vec<Scamper1Row>,
-}
-
-/// An empty `ndt.unified_download`-shaped `ndt-bq` table, which
-/// `ndt_analysis::StudyDataBuilder` fills batch by batch through
-/// [`crate::columnar::push_unified_batch`].
-pub fn empty_unified_table() -> Table {
-    let mut t = Table::new(
-        "ndt.unified_download",
-        &[
-            ("day", ColType::Int),
-            ("client_ip", ColType::Int),
-            ("server_ip", ColType::Int),
-            ("client_asn", ColType::Int),
-            ("oblast", ColType::Str),
-            ("city", ColType::Str),
-            ("tput", ColType::Float),
-            ("min_rtt", ColType::Float),
-            ("loss", ColType::Float),
-        ],
-    );
-    // The two categorical columns draw from small closed vocabularies
-    // (27 oblasts, ~2k cities); dictionary encoding stores one u32 code
-    // per row instead of a heap String, and query filters compare codes.
-    // Encoding is invisible to every value-level accessor, so tables
-    // built row-wise and batch-wise stay cell-for-cell identical.
-    t.dict_encode("oblast");
-    t.dict_encode("city");
-    t
-}
-
-/// Appends one unified row to a table created by [`empty_unified_table`]:
-/// the row-at-a-time oracle the batch ingest is tested against.
-#[cfg(test)]
-pub(crate) fn push_unified_row(t: &mut Table, r: &UnifiedDownloadRow) {
-    use ndt_bq::Value;
-    t.push(vec![
-        Value::Int(r.day),
-        Value::Int(r.client_ip.0 as i64),
-        Value::Int(r.server_ip.0 as i64),
-        Value::Int(r.client_asn.0 as i64),
-        r.oblast.map(|o| Value::from(o.name())).unwrap_or(Value::Null),
-        r.city.map(|c| Value::from(c.get().name)).unwrap_or(Value::Null),
-        Value::Float(r.mean_tput_mbps),
-        Value::Float(r.min_rtt_ms),
-        Value::Float(r.loss_rate),
-    ]);
-}
-
-#[cfg(test)]
-impl Dataset {
-    /// Ingests the unified rows into an `ndt-bq` table one row at a time
-    /// ([`push_unified_row`]) — the reference table tests compare the
-    /// batch ingest against.
-    pub(crate) fn unified_table(&self) -> Table {
-        let mut t = empty_unified_table();
-        for r in &self.ndt {
-            push_unified_row(&mut t, r);
-        }
-        t
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ndt_bq::Value;
-
-    fn row(day: i64, oblast: Option<Oblast>) -> UnifiedDownloadRow {
-        UnifiedDownloadRow {
-            day,
-            client_ip: Ipv4Addr(1),
-            server_ip: Ipv4Addr(2),
-            client_asn: Asn(100),
-            oblast,
-            city: None,
-            mean_tput_mbps: 40.0,
-            min_rtt_ms: 12.0,
-            loss_rate: 0.01,
-        }
-    }
-
-    #[test]
-    fn unified_table_roundtrip() {
-        let ds = Dataset {
-            ndt: vec![row(419, Some(Oblast::KyivCity)), row(420, None)],
-            traces: vec![],
-        };
-        let t = ds.unified_table();
-        assert_eq!(t.len(), 2);
-        let oblast = t.try_column("oblast").expect("schema column");
-        assert_eq!(oblast.get(0), Value::from("Kiev City"));
-        assert!(oblast.get(1).is_null());
-        assert_eq!(t.query().try_filter_not_null("oblast").expect("schema column").count(), 1);
-        assert_eq!(t.query().try_floats("tput").expect("schema column"), vec![40.0, 40.0]);
-    }
 }

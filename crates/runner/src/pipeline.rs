@@ -361,7 +361,7 @@ impl Pipeline {
 
 /// Shared tail of `report`/`export`: corpus → analyses → assembled report.
 /// Each shard is ingested as the pool hands it back, in day order; a shard
-/// that failed, or failed to ingest, leaves no corpus to analyse.
+/// that failed leaves no corpus to analyse.
 fn analyse_and_assemble(
     p: &mut Pipeline,
     cfg: &PipelineConfig,
@@ -373,12 +373,8 @@ fn analyse_and_assemble(
             builder = None;
             return;
         };
-        let Some(b) = builder.as_mut() else { return };
-        if let Err(e) = b.push_shard(rows) {
-            builder = None;
-            let err = StageError::Failed(format!("ingest failed: {e}"));
-            ndt_obs::error!("[runner] stage {}: FAILED: {err}", shard.record.name);
-            shard.record.status = StageStatus::Failed(err);
+        if let Some(b) = builder.as_mut() {
+            b.push_shard(rows);
         }
     });
     let outputs = match builder {

@@ -288,7 +288,7 @@ pub fn read_store_fingerprint(vfs: &VfsHandle, store_dir: &Path) -> io::Result<u
 
 /// How `report --from-store` turns shard pages into analysis inputs. It
 /// has one value: validated columnar batches flow from the page decoder
-/// straight into the dictionary-encoded table, shard pairs decode in
+/// straight onto the end of the unified table, shard pairs decode in
 /// parallel under the thread budget, and one coordinator ingests them in
 /// manifest order. The type stays so callers of
 /// [`load_study_data_with`] and [`run_report_from_store_with`] keep their
@@ -564,25 +564,15 @@ fn load_shards(
         for (j, stem) in stems.iter().enumerate() {
             let mark = builder.mark();
             let mut outcome: Option<io::Result<(ScanStats, ScanStats)>> = None;
-            let mut ingest_err: Option<io::Error> = None;
             while outcome.is_none() {
                 match rxs[j].recv() {
                     Ok(PairMsg::Unified(b)) => {
-                        if ingest_err.is_none() {
-                            let t0 = std::time::Instant::now();
-                            let r = builder.push_unified_batch(&b);
-                            metrics.ingest_us += t0.elapsed().as_micros() as u64;
-                            if let Err(e) = r {
-                                ingest_err = Some(e);
-                            }
-                        }
+                        let t0 = std::time::Instant::now();
+                        builder.push_unified_batch(&b);
+                        metrics.ingest_us += t0.elapsed().as_micros() as u64;
                         resident.fetch_sub(b.rows() as u64, Ordering::Relaxed);
                     }
-                    Ok(PairMsg::Traces(rows)) => {
-                        if ingest_err.is_none() {
-                            builder.push_trace_rows(rows);
-                        }
-                    }
+                    Ok(PairMsg::Traces(rows)) => builder.push_trace_rows(rows),
                     Ok(PairMsg::Done { ustats, tstats }) => outcome = Some(Ok((ustats, tstats))),
                     Ok(PairMsg::Failed(e)) => outcome = Some(Err(e)),
                     Err(_) => {
@@ -592,11 +582,7 @@ fn load_shards(
                     }
                 }
             }
-            let outcome = match (outcome.expect("loop exits with outcome"), ingest_err) {
-                (_, Some(e)) | (Err(e), None) => Err(e),
-                (Ok(stats), None) => Ok(stats),
-            };
-            match outcome {
+            match outcome.expect("loop exits with outcome") {
                 Ok((ustats, tstats)) => {
                     publish_scan_stats(&ustats);
                     publish_scan_stats(&tstats);

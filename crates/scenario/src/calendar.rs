@@ -159,14 +159,6 @@ impl Period {
         (start, start + DAYS_PER_PERIOD)
     }
 
-    /// The period containing a day index, if any.
-    pub fn of_day(day: i64) -> Option<Period> {
-        Period::ALL.into_iter().find(|p| {
-            let (s, e) = p.day_range();
-            (s..e).contains(&day)
-        })
-    }
-
     /// Display label matching the paper's tables.
     pub fn label(&self) -> &'static str {
         match self {
@@ -215,17 +207,6 @@ mod tests {
         assert_eq!(pwe, wts);
         assert_eq!(pws, 365);
         assert_eq!(wte, 365 + 108);
-    }
-
-    #[test]
-    fn of_day_classification() {
-        assert_eq!(Period::of_day(0), Some(Period::BaselineJanFeb2021));
-        assert_eq!(Period::of_day(54), Some(Period::BaselineFebApr2021));
-        assert_eq!(Period::of_day(108), None); // gap between windows
-        assert_eq!(Period::of_day(365), Some(Period::Prewar2022));
-        assert_eq!(Period::of_day(dates::INVASION.day_index()), Some(Period::Wartime2022));
-        assert_eq!(Period::of_day(dates::STUDY_END.day_index()), Some(Period::Wartime2022));
-        assert_eq!(Period::of_day(473), None);
     }
 
     #[test]

@@ -95,9 +95,7 @@ impl Histogram {
     /// and overflow observations, so the returned values sum to the
     /// in-range share (≤ 1.0), not to 1.0. This is what the figure-7/8
     /// plots want: out-of-range mass shows up as a visibly deflated curve
-    /// rather than being silently renormalized away. Use
-    /// [`in_range_fractions`](Self::in_range_fractions) for a proper
-    /// probability mass over the bins.
+    /// rather than being silently renormalized away.
     ///
     /// An empty histogram (no finite pushes yet) returns all zeros rather
     /// than dividing by zero into a `NaN` vector.
@@ -106,19 +104,6 @@ impl Histogram {
             return vec![0.0; self.bins.len()];
         }
         self.bins.iter().map(|&c| c as f64 / self.total as f64).collect()
-    }
-
-    /// Fractions normalized over the **in-range** mass only: the values
-    /// sum to 1.0 whenever any observation landed in `[lo, hi)`.
-    ///
-    /// When no observation is in range — empty histogram, or every push
-    /// fell into underflow/overflow — returns all zeros (never `NaN`).
-    pub fn in_range_fractions(&self) -> Vec<f64> {
-        let in_range: u64 = self.bins.iter().sum();
-        if in_range == 0 {
-            return vec![0.0; self.bins.len()];
-        }
-        self.bins.iter().map(|&c| c as f64 / in_range as f64).collect()
     }
 
     /// Index of the most populated in-range bin (ties broken low); `None`
@@ -181,7 +166,6 @@ mod tests {
     fn fractions_of_empty_histogram_are_zero_not_nan() {
         let h = Histogram::new(0.0, 4.0, 4);
         assert_eq!(h.fractions(), vec![0.0; 4]);
-        assert_eq!(h.in_range_fractions(), vec![0.0; 4]);
     }
 
     #[test]
@@ -190,18 +174,6 @@ mod tests {
         h.extend(&[-3.0, 5.0, 7.0]);
         assert_eq!(h.total(), 3);
         assert_eq!(h.fractions(), vec![0.0; 2]);
-        // The renormalized variant has zero in-range mass to divide by —
-        // it must take the guard path, not produce 0/0.
-        assert_eq!(h.in_range_fractions(), vec![0.0; 2]);
-    }
-
-    #[test]
-    fn in_range_fractions_sum_to_one() {
-        let mut h = Histogram::new(0.0, 4.0, 4);
-        h.extend(&[0.5, 1.5, 2.5, 3.5, 99.0]);
-        let s: f64 = h.in_range_fractions().iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
-        assert!((h.in_range_fractions()[0] - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl DailySeries {
         }
     }
 
-    /// Number of distinct days with at least one observation.
-    pub fn day_count(&self) -> usize {
-        self.days.len()
-    }
-
     /// Total observations across all days.
     pub fn len(&self) -> usize {
         self.days.values().map(Vec::len).sum()
@@ -62,21 +57,10 @@ impl DailySeries {
         self.days.iter().map(|(&d, v)| (d, Summary::of(v).mean())).collect()
     }
 
-    /// Chronological `(day, observation count)` pairs — the Figure 2a/4
-    /// test-count series.
-    pub fn daily_counts(&self) -> Vec<(i64, usize)> {
-        self.days.iter().map(|(&d, v)| (d, v.len())).collect()
-    }
-
     /// Weekly medians with weeks anchored at `anchor_day` (buckets of 7 days
     /// starting there) — Figure 6's aggregation.
     pub fn weekly_medians(&self, anchor_day: i64) -> Vec<WeeklyPoint> {
         self.weekly(anchor_day, median)
-    }
-
-    /// Weekly means with weeks anchored at `anchor_day`.
-    pub fn weekly_means(&self, anchor_day: i64) -> Vec<WeeklyPoint> {
-        self.weekly(anchor_day, |v| Summary::of(v).mean())
     }
 
     fn weekly(&self, anchor_day: i64, agg: impl Fn(&[f64]) -> f64) -> Vec<WeeklyPoint> {
@@ -89,26 +73,6 @@ impl DailySeries {
             .into_iter()
             .map(|(week_start, vals)| WeeklyPoint { week_start, count: vals.len(), value: agg(&vals) })
             .collect()
-    }
-
-    /// Mean of all observations whose day lies in `[from, to)`.
-    pub fn mean_in(&self, from: i64, to: i64) -> f64 {
-        let mut s = Summary::new();
-        for (_, v) in self.days.range(from..to) {
-            for &x in v {
-                s.push(x);
-            }
-        }
-        s.mean()
-    }
-
-    /// All raw observations whose day lies in `[from, to)`, chronologically.
-    pub fn values_in(&self, from: i64, to: i64) -> Vec<f64> {
-        let mut out = Vec::new();
-        for (_, v) in self.days.range(from..to) {
-            out.extend_from_slice(v);
-        }
-        out
     }
 }
 
@@ -130,9 +94,7 @@ mod tests {
     fn daily_means_and_counts() {
         let s = sample();
         assert_eq!(s.daily_means(), vec![(0, 2.0), (1, 10.0), (8, 8.0)]);
-        assert_eq!(s.daily_counts(), vec![(0, 2), (1, 1), (8, 2)]);
         assert_eq!(s.len(), 5);
-        assert_eq!(s.day_count(), 3);
     }
 
     #[test]
@@ -161,17 +123,9 @@ mod tests {
         let mut s = DailySeries::new();
         s.push(-1, 5.0); // one day before the anchor → previous week bucket
         s.push(0, 7.0);
-        let w = s.weekly_means(0);
+        let w = s.weekly_medians(0);
         assert_eq!(w.len(), 2);
         assert_eq!(w[0].week_start, -7);
         assert_eq!(w[1].week_start, 0);
-    }
-
-    #[test]
-    fn range_queries() {
-        let s = sample();
-        assert_eq!(s.values_in(0, 2), vec![1.0, 3.0, 10.0]);
-        assert!((s.mean_in(0, 2) - 14.0 / 3.0).abs() < 1e-12);
-        assert!(s.mean_in(2, 8).is_nan());
     }
 }

@@ -132,11 +132,6 @@ impl Path {
     pub fn traverses(&self, asn: Asn) -> bool {
         self.as_seq.contains(&asn)
     }
-
-    /// Number of AS-level hops.
-    pub fn as_hops(&self) -> usize {
-        self.as_seq.len().saturating_sub(1)
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +170,6 @@ mod tests {
         let (t, links) = chain();
         let p = Path::from_links(&t, Asn(1), &links);
         assert_eq!(p.as_seq, vec![Asn(1), Asn(2), Asn(3), Asn(4)]);
-        assert_eq!(p.as_hops(), 3);
         assert!((p.oneway_latency_ms - 30.0).abs() < 1e-12);
         assert_eq!(p.bottleneck_mbps, 1_000.0);
         let expected_loss = 1.0 - 0.999 * 0.998 * 0.997;

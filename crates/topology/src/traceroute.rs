@@ -77,20 +77,6 @@ impl Traceroute {
         Traceroute { hops }
     }
 
-    /// The AS-level sequence of the traceroute, deduplicating consecutive
-    /// hops in the same AS — the §5.2 view of the data.
-    pub fn as_sequence(&self) -> Vec<Asn> {
-        let mut out: Vec<Asn> = Vec::new();
-        for hop in &self.hops {
-            if let Some(asn) = hop.asn {
-                if out.last() != Some(&asn) {
-                    out.push(asn);
-                }
-            }
-        }
-        out
-    }
-
     /// Number of hops recorded.
     pub fn len(&self) -> usize {
         self.hops.len()
@@ -150,13 +136,5 @@ mod tests {
         // RTTs are non-decreasing up to jitter and reflect latency.
         assert!(tr.hops[2].rtt_ms >= 2.0 * (12.0 + 3.0) - 1e-9);
         assert!(tr.hops[0].rtt_ms < tr.hops[2].rtt_ms);
-    }
-
-    #[test]
-    fn as_sequence_deduplicates() {
-        let (t, p, client) = two_hop();
-        let mut rng = StdRng::seed_from_u64(2);
-        let tr = Traceroute::run(&t, &p, client, 0.0, &mut rng);
-        assert_eq!(tr.as_sequence(), vec![Asn(1), Asn(2)]);
     }
 }

@@ -10,7 +10,7 @@ use ukraine_ndt::analysis::paper;
 use ukraine_ndt::analysis::{
     ext_alias, ext_events, ext_robustness, fig2_national, fig3_oblast, fig4_city_counts, fig5_border,
     fig6_as199995, fig7_8_distributions, fig9_path_perf, table1_cities, table2_paths, table3_as,
-    table4_oblast, table5_6_as_detail,
+    table4_oblast, table5_6_as_detail, Metric, Selection,
 };
 use ukraine_ndt::conflict::calendar::dates;
 use ukraine_ndt::geo::oblast::OBLASTS;
@@ -416,23 +416,23 @@ fn fig6(data: &StudyData) {
 fn fig7_8(data: &StudyData) {
     println!("## Figures 7 & 8 — metric distributions, prewar vs wartime\n");
     let d = fig7_8_distributions::compute(data).expect("clean corpus computes");
-    let skew = |q: &ukraine_ndt::bq::Query<'_>, col: &str| {
-        let v = q.try_floats(col).expect("schema column");
+    let skew = |q: &Selection<'_>, metric| {
+        let v = q.values(metric);
         ukraine_ndt::stats::mean(&v) > ukraine_ndt::stats::median(&v)
     };
-    let pre = data.period(Period::Prewar2022).expect("schema");
-    let war = data.period(Period::Wartime2022).expect("schema");
+    let pre = data.period(Period::Prewar2022);
+    let war = data.period(Period::Wartime2022);
     println!("| property | paper | measured | shape |");
     println!("|---|---|---|---|");
     println!(
         "| tput right-skewed | yes (\"slightly skewed\") | prewar {} / wartime {} | {} |",
-        skew(&pre, "tput"), skew(&war, "tput"),
-        verdict(skew(&pre, "tput") && skew(&war, "tput"))
+        skew(&pre, Metric::Tput), skew(&war, Metric::Tput),
+        verdict(skew(&pre, Metric::Tput) && skew(&war, Metric::Tput))
     );
     println!(
         "| loss right-skewed | yes | prewar {} / wartime {} | {} |",
-        skew(&pre, "loss"), skew(&war, "loss"),
-        verdict(skew(&pre, "loss") && skew(&war, "loss"))
+        skew(&pre, Metric::Loss), skew(&war, Metric::Loss),
+        verdict(skew(&pre, Metric::Loss) && skew(&war, Metric::Loss))
     );
     let tail = |h: &ukraine_ndt::stats::Histogram| {
         let fr = h.fractions();

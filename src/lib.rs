@@ -24,12 +24,11 @@
 //!   paper's own tables, displacement and outage events;
 //! * [`mlab`] (`ndt-mlab`) — the M-Lab platform: 210 sites, geographic load
 //!   balancing, heavy-tailed client populations, NDT tests + traceroutes;
-//! * [`bq`] (`ndt-bq`) — a small columnar table with filters and column
-//!   reads, standing in for BigQuery;
 //! * [`stats`] (`ndt-stats`) — Welch's t-test with real p-values, special
 //!   functions, histograms, correlation, samplers;
 //! * [`analysis`] (`ndt-analysis`) — one module per table and figure of the
-//!   paper.
+//!   paper, over the `unified_download` rows as one typed columnar table
+//!   standing in for BigQuery.
 //!
 //! ## Quickstart
 //!
@@ -53,7 +52,8 @@
 //! was dropped. A stage that fails outright becomes a placeholder section
 //! and a failed record in [`runner::PipelineOutcome`], so `run_report`
 //! surfaces only I/O failures as an [`NdtError`]; a single module's
-//! `compute` returns an [`analysis::AnalysisError`] on schema drift.
+//! `compute` returns an [`analysis::AnalysisError`] only on input it cannot
+//! work with at all (the A/B table without a second country).
 //!
 //! Single tables and figures are one call each over a
 //! [`analysis::StudyData`]: `analysis::table1_cities::compute(&data)`, for
@@ -63,7 +63,6 @@
 //! paper-vs-measured comparison of every table and figure.
 
 pub use ndt_analysis as analysis;
-pub use ndt_bq as bq;
 pub use ndt_conflict as conflict;
 pub use ndt_geo as geo;
 pub use ndt_mlab as mlab;

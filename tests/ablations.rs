@@ -66,8 +66,7 @@ fn geolocation_noise_weakens_not_strengthens_effects() {
 #[test]
 fn perfect_geo_recovers_unlabeled_rows() {
     let labeled = |d: &StudyData| {
-        let labeled = d.unified.query().try_filter_not_null("oblast").expect("schema column");
-        labeled.count() as f64 / d.unified_len() as f64
+        d.rows().with_oblast().count() as f64 / d.unified_len() as f64
     };
     let l_noisy = labeled(noisy());
     let l_oracle = labeled(perfect_geo());
