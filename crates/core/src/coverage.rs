@@ -341,8 +341,9 @@ mod tests {
     fn metric_samples_filters_and_accounts() {
         use ndt_mlab::UnifiedDownloadRow;
         use ndt_topology::{Asn, Ipv4Addr};
-        let ndt = [1.0, f64::NAN, -2.0, 3.0, f64::INFINITY]
-            .map(|v| UnifiedDownloadRow {
+        let mut ds = ndt_mlab::Dataset::default();
+        for v in [1.0, f64::NAN, -2.0, 3.0, f64::INFINITY] {
+            ds.ndt.push(&UnifiedDownloadRow {
                 day: 0,
                 client_ip: Ipv4Addr(1),
                 server_ip: Ipv4Addr(2),
@@ -352,9 +353,9 @@ mod tests {
                 mean_tput_mbps: v,
                 min_rtt_ms: 10.0,
                 loss_rate: 0.0,
-            })
-            .to_vec();
-        let data = crate::StudyData::from_dataset(ndt_mlab::Dataset { ndt, traces: Vec::new() });
+            });
+        }
+        let data = crate::StudyData::from_dataset(ds);
         let q = data.rows();
         let mut cov = Coverage::new();
         let clean = metric_samples(&q, Metric::Tput, true, &mut cov);

@@ -1,26 +1,25 @@
 //! Dataset wrapper: the two "BigQuery tables" plus period helpers.
 //!
-//! `ndt.unified_download` is one [`UnifiedBatch`], appended batch by
-//! batch as the corpus streams in. The §4 analyses slice it with a
-//! [`Selection`]: a day range, a city or an oblast, or rows that carry a
-//! location. They then read `day` or a [`Metric`] over the rows kept, in
-//! row order. The schema is fixed in code, so no read can fail.
+//! `ndt.unified_download` is one [`UnifiedBatch`] and `ndt.scamper1` one
+//! [`TraceBatch`], both in day order, so a day range is a run of rows found
+//! by binary search. The §4 analyses narrow a day range with a
+//! [`Selection`] and read `day` or a [`Metric`] in row order; the §5
+//! analyses read columns over [`StudyData::traces_in`]. No read can fail.
 
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 use ndt_conflict::Period;
 use ndt_geo::city::city_by_name;
 use ndt_geo::{CityId, Oblast};
-use ndt_mlab::columnar::UnifiedBatch;
-use ndt_mlab::{Dataset, Scamper1Row, SimConfig, Simulator};
-use ndt_store::DEFAULT_GROUP_ROWS;
+use ndt_mlab::columnar::{TraceBatch, UnifiedBatch};
+use ndt_mlab::{Dataset, SimConfig, Simulator};
 
-/// The generated corpus, ready for analysis.
+/// The generated corpus, ready for analysis; both tables in day order.
 pub struct StudyData {
-    /// `ndt.scamper1` rows, consumed natively by the §5 analyses.
-    pub traces: Vec<Scamper1Row>,
-    /// `ndt.unified_download`, in ingest order (§4 analyses; read it
-    /// through [`StudyData::rows`] and its narrowings).
+    /// `ndt.scamper1` (§5 analyses; see [`StudyData::traces_in`]).
+    pub traces: TraceBatch,
+    /// `ndt.unified_download` (§4 analyses; read it through
+    /// [`StudyData::rows`], [`StudyData::days`] and their narrowings).
     pub unified: UnifiedBatch,
     /// Inclusive day ranges with no unified rows *inside an otherwise
     /// populated study window* — whole days lost to e.g. a quarantined
@@ -60,12 +59,6 @@ impl<'t> Selection<'t> {
     fn retain(mut self, keep: impl Fn(usize) -> bool) -> Self {
         self.rows.retain(|&i| keep(i));
         self
-    }
-
-    /// Keeps rows whose `day` lies in `[lo, hi)`.
-    pub fn days(self, lo: i64, hi: i64) -> Self {
-        let day = &self.table.day;
-        self.retain(|i| (lo..hi).contains(&day[i]))
     }
 
     /// Keeps rows labeled `city`.
@@ -121,27 +114,29 @@ impl<'t> Selection<'t> {
 /// Day ranges of each [`Period`] window that hold no unified rows, for
 /// windows that hold at least one. See [`StudyData::day_gaps`].
 fn compute_day_gaps(unified: &UnifiedBatch) -> Vec<(i64, i64)> {
-    let days: BTreeSet<i64> = unified.day.iter().copied().collect();
     let mut gaps = Vec::new();
     for p in Period::ALL {
         let (s, e) = p.day_range();
-        if !(s..e).any(|d| days.contains(&d)) {
+        let days = &unified.day[day_span(&unified.day, s, e)];
+        if days.is_empty() {
             continue;
         }
-        let mut d = s;
-        while d < e {
-            if days.contains(&d) {
-                d += 1;
-                continue;
+        // Walk the window's days in order; each jump past `next` is a gap.
+        let mut next = s;
+        for &d in days.iter().chain([&e]) {
+            if d > next {
+                gaps.push((next, d - 1));
             }
-            let lo = d;
-            while d < e && !days.contains(&d) {
-                d += 1;
-            }
-            gaps.push((lo, d - 1));
+            next = d + 1;
         }
     }
     gaps
+}
+
+/// The rows of a day-ordered `day` column that lie in `[lo, hi)`.
+fn day_span(day: &[i64], lo: i64, hi: i64) -> Range<usize> {
+    let start = day.partition_point(|&d| d < lo);
+    start..start.max(day.partition_point(|&d| d < hi))
 }
 
 impl StudyData {
@@ -152,8 +147,7 @@ impl StudyData {
     }
 
     /// Wraps an already-generated dataset. It is built by
-    /// [`StudyDataBuilder`], as every corpus is, so the unified row structs
-    /// are dropped once the table holds them.
+    /// [`StudyDataBuilder`], as every corpus is.
     pub fn from_dataset(raw: Dataset) -> Self {
         let mut b = StudyDataBuilder::new();
         b.push_shard(raw);
@@ -165,10 +159,15 @@ impl StudyData {
         Selection { table: &self.unified, rows: (0..self.unified.rows()).collect() }
     }
 
+    /// Unified rows whose `day` lies in `[lo, hi)`.
+    pub fn days(&self, lo: i64, hi: i64) -> Selection<'_> {
+        Selection { table: &self.unified, rows: day_span(&self.unified.day, lo, hi).collect() }
+    }
+
     /// Unified rows within a period.
     pub fn period(&self, p: Period) -> Selection<'_> {
         let (s, e) = p.day_range();
-        self.rows().days(s, e)
+        self.days(s, e)
     }
 
     /// Unified rows of one labeled city within a period (Table 1's
@@ -185,10 +184,15 @@ impl StudyData {
         self.period(p).oblast(oblast)
     }
 
-    /// Scamper rows within a period.
-    pub fn traces_in(&self, p: Period) -> impl Iterator<Item = &Scamper1Row> {
+    /// Indices of the trace rows within a period.
+    pub fn traces_in(&self, p: Period) -> Range<usize> {
         let (s, e) = p.day_range();
-        self.traces.iter().filter(move |r| (s..e).contains(&r.day))
+        self.trace_days(s, e)
+    }
+
+    /// Indices of the trace rows whose `day` lies in `[lo, hi)`.
+    pub fn trace_days(&self, lo: i64, hi: i64) -> Range<usize> {
+        day_span(&self.traces.day, lo, hi)
     }
 
     /// Total unified rows.
@@ -199,14 +203,14 @@ impl StudyData {
 
 /// The one way a [`StudyData`] is built: the corpus arrives in pieces —
 /// whole shards from the shard pool ([`Self::push_shard`]), or decoded
-/// store batches ([`Self::push_unified_batch`], [`Self::push_trace_rows`])
-/// — and every unified row enters the table as part of a columnar batch.
-/// The builder keeps no unified row structs; the finished [`StudyData`]'s
-/// tables are every row pushed, in order.
+/// store batches ([`Self::push_unified_batch`], [`Self::push_trace_batch`])
+/// — and the finished tables are every row pushed, in order. Pieces must
+/// keep each table in day order; the shard pool and the store loader
+/// guarantee it, so debug builds only assert it.
 #[derive(Default)]
 pub struct StudyDataBuilder {
     unified: UnifiedBatch,
-    traces: Vec<Scamper1Row>,
+    traces: TraceBatch,
 }
 
 /// A consistent builder position, taken with [`StudyDataBuilder::mark`]
@@ -225,38 +229,31 @@ impl StudyDataBuilder {
         Self::default()
     }
 
-    /// Ingests one corpus shard: its unified rows are transposed into
-    /// [`DEFAULT_GROUP_ROWS`]-row batches for [`Self::push_unified_batch`]
-    /// and dropped, and its traces move in.
+    /// Ingests one corpus shard: both of its tables.
     pub fn push_shard(&mut self, shard: Dataset) {
-        for chunk in shard.ndt.chunks(DEFAULT_GROUP_ROWS) {
-            self.push_unified_batch(&UnifiedBatch::from_rows(chunk));
-        }
-        self.push_trace_rows(shard.traces);
+        self.push_unified_batch(&shard.ndt);
+        self.push_trace_batch(&shard.traces);
     }
 
     /// Appends one columnar batch to the unified table.
     pub fn push_unified_batch(&mut self, batch: &UnifiedBatch) {
+        debug_assert!(self.unified.day.last().into_iter().chain(&batch.day).is_sorted());
         self.unified.append(batch);
     }
 
-    /// Appends scamper trace rows.
-    pub fn push_trace_rows(&mut self, rows: Vec<Scamper1Row>) {
-        self.traces.extend(rows);
-    }
-
-    /// Unified rows ingested so far.
-    pub fn unified_rows(&self) -> usize {
-        self.unified.rows()
+    /// Appends one columnar batch to the trace table.
+    pub fn push_trace_batch(&mut self, batch: &TraceBatch) {
+        debug_assert!(self.traces.day.last().into_iter().chain(&batch.day).is_sorted());
+        self.traces.append(batch);
     }
 
     /// Current position, for a later [`Self::rollback`].
     pub fn mark(&self) -> BuilderMark {
-        BuilderMark { unified_rows: self.unified_rows(), trace_rows: self.traces.len() }
+        BuilderMark { unified_rows: self.unified.rows(), trace_rows: self.traces.rows() }
     }
 
-    /// Discards everything ingested after `mark` (table rows and trace
-    /// rows).
+    /// Discards everything ingested after `mark` from both tables (the
+    /// traces' AS paths included).
     pub fn rollback(&mut self, mark: BuilderMark) {
         self.unified.truncate(mark.unified_rows);
         self.traces.truncate(mark.trace_rows);
@@ -297,6 +294,18 @@ mod tests {
         assert_eq!(shared_small().day_gaps, Vec::<(i64, i64)>::new());
     }
 
+    /// `ds` without the rows whose day is `lost`.
+    fn without_days(ds: &Dataset, lost: impl Fn(i64) -> bool) -> Dataset {
+        let mut out = Dataset::default();
+        for i in (0..ds.ndt.rows()).filter(|&i| !lost(ds.ndt.day[i])) {
+            out.ndt.push(&ds.ndt.row(i));
+        }
+        for i in (0..ds.traces.rows()).filter(|&i| !lost(ds.traces.day[i])) {
+            out.traces.push(&ds.traces.row(i));
+        }
+        out
+    }
+
     #[test]
     fn dropped_days_inside_populated_windows_become_gaps() {
         let full = small_dataset();
@@ -305,18 +314,14 @@ mod tests {
         // been quarantined.
         let lost = |d: i64| (20..25).contains(&d) || (54..60).contains(&d);
         let mut b = StudyDataBuilder::new();
-        b.push_shard(Dataset {
-            ndt: full.ndt.iter().filter(|r| !lost(r.day)).cloned().collect(),
-            traces: full.traces.iter().filter(|r| !lost(r.day)).cloned().collect(),
-        });
+        b.push_shard(without_days(full, lost));
         let degraded = b.finish();
         assert_eq!(degraded.day_gaps, vec![(20, 24), (54, 59)]);
         // And a window with no rows at all is "not simulated", not a gap.
         let mut empty_window = StudyDataBuilder::new();
-        empty_window.push_shard(Dataset {
-            ndt: full.ndt.iter().filter(|r| r.day >= 365).cloned().collect(),
-            traces: Vec::new(),
-        });
+        let mut late = without_days(full, |d| d < 365);
+        late.traces = Default::default();
+        empty_window.push_shard(late);
         assert_eq!(empty_window.finish().day_gaps, Vec::<(i64, i64)>::new());
     }
 
@@ -324,20 +329,25 @@ mod tests {
     fn traces_filter_by_day() {
         let data = shared_small();
         let (s, e) = Period::Wartime2022.day_range();
-        assert!(data.traces_in(Period::Wartime2022).all(|r| (s..e).contains(&r.day)));
-        assert!(data.traces_in(Period::Wartime2022).next().is_some());
+        let war = data.traces_in(Period::Wartime2022);
+        assert!(!war.is_empty());
+        assert!(war.clone().all(|i| (s..e).contains(&data.traces.day[i])));
+        assert_eq!(war.len(), data.traces.day.iter().filter(|d| (s..e).contains(*d)).count());
     }
 }
 
-/// The oracle for the typed table: every selection keeps exactly the rows
-/// a plain filter over the row structs keeps, and `metric_samples` keeps
-/// exactly their usable values, whatever batches the rows arrived in.
+/// The oracles for the typed tables: every selection and every trace
+/// slice keeps exactly the rows a plain filter over the row structs keeps,
+/// `metric_samples` keeps exactly their usable values, and each table is
+/// the rows pushed into it, whatever batches the rows arrived in.
 #[cfg(test)]
 mod props {
     use super::*;
     use crate::coverage::{metric_samples, Coverage, DropReason};
     use ndt_geo::city::all_cities;
-    use ndt_mlab::UnifiedDownloadRow;
+    use ndt_mlab::columnar::{scan_trace_batches, scan_traces, write_traces, RowFilter};
+    use ndt_mlab::{Scamper1Row, UnifiedDownloadRow};
+    use ndt_store::{Shard, DEFAULT_GROUP_ROWS};
     use ndt_topology::{Asn, Ipv4Addr};
     use proptest::prelude::*;
 
@@ -365,15 +375,21 @@ mod props {
         })
     }
 
-    /// Rows spread over both years' study windows and the days between
-    /// them, with unlocated and unlabeled rows mixed in.
+    /// A day in either year's study window or between them.
+    fn day() -> impl Strategy<Value = i64> {
+        (0u8..2, 0i64..120).prop_map(|(year, day)| i64::from(year) * 360 + day)
+    }
+
+    /// Day-sorted rows spread over both years' study windows and the days
+    /// between them, with unlocated and unlabeled rows mixed in.
     fn arb_rows() -> impl Strategy<Value = Vec<UnifiedDownloadRow>> {
-        let row = ((0u8..2, 0i64..120), (0usize..7, 0usize..7), (metric(), metric(), metric()));
+        let row = (day(), (0usize..7, 0usize..7), (metric(), metric(), metric()));
         prop::collection::vec(row, 0..160).prop_map(|rows| {
             let (cities, oblasts) = (city_pool(), oblast_pool());
-            rows.into_iter()
-                .map(|((year, day), (city, oblast), (tput, rtt, loss))| UnifiedDownloadRow {
-                    day: i64::from(year) * 360 + day,
+            let mut rows: Vec<UnifiedDownloadRow> = rows
+                .into_iter()
+                .map(|(day, (city, oblast), (tput, rtt, loss))| UnifiedDownloadRow {
+                    day,
                     client_ip: Ipv4Addr(day as u32),
                     server_ip: Ipv4Addr(7),
                     client_asn: Asn(15895),
@@ -383,17 +399,60 @@ mod props {
                     min_rtt_ms: rtt,
                     loss_rate: loss,
                 })
-                .collect()
+                .collect();
+            rows.sort_by_key(|r| r.day);
+            rows
         })
     }
 
-    /// Builds a study from `rows` cut into batches at `cuts`; when `junk`
-    /// is given, it is pushed as one more batch at its position among the
-    /// batches and rolled back.
-    fn build(
-        rows: &[UnifiedDownloadRow],
+    /// Day-sorted trace rows over the same days: a few connections and
+    /// fingerprints, paths of 0–6 ASes, crossings present and absent, and
+    /// metrics of every kind. One draw in eight repeats each row 80 times,
+    /// so the table spans several store row groups.
+    fn arb_traces() -> impl Strategy<Value = Vec<Scamper1Row>> {
+        let asn = || (0u32..9).prop_map(|a| Asn(15895 + a));
+        let row = (
+            day(),
+            (0u32..4, 0u32..3, 0u64..3),
+            prop::collection::vec(asn(), 0..7),
+            prop::option::of((asn(), asn())),
+            (metric(), metric(), metric()),
+        );
+        (prop::collection::vec(row, 0..120), 0u8..8).prop_map(|(rows, k)| {
+            let copies = if k == 0 { 80 } else { 1 };
+            let mut rows: Vec<Scamper1Row> = rows
+                .into_iter()
+                .flat_map(|(day, (client, server, fp), as_path, border, (tput, rtt, loss))| {
+                    let row = Scamper1Row {
+                        day,
+                        client_ip: Ipv4Addr(client),
+                        server_ip: Ipv4Addr(100 + server),
+                        path_fingerprint: fp,
+                        router_fingerprint: fp / 2,
+                        resolved_fingerprint: fp ^ u64::from(client),
+                        as_path,
+                        border,
+                        mean_tput_mbps: tput,
+                        min_rtt_ms: rtt,
+                        loss_rate: loss,
+                    };
+                    std::iter::repeat_n(row, copies)
+                })
+                .collect();
+            rows.sort_by_key(|r| r.day);
+            rows
+        })
+    }
+
+    /// Builds a study from `rows` cut into batches at `cuts`, pushing each
+    /// batch with `push`; when `junk` is given, it is pushed as one more
+    /// batch at its position among the batches and rolled back. Junk rows
+    /// lie past every drawn day, so pushing them keeps day order.
+    fn build<R>(
+        rows: &[R],
         cuts: &[usize],
-        junk: Option<(usize, &[UnifiedDownloadRow])>,
+        junk: Option<(usize, &[R])>,
+        push: impl Fn(&mut StudyDataBuilder, &[R]),
     ) -> StudyData {
         let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(rows.len())).collect();
         cuts.push(0);
@@ -403,12 +462,47 @@ mod props {
         for (k, w) in cuts.windows(2).enumerate() {
             if let Some((_, junk)) = junk.filter(|(at, _)| *at == k) {
                 let mark = b.mark();
-                b.push_unified_batch(&UnifiedBatch::from_rows(junk));
+                push(&mut b, junk);
                 b.rollback(mark);
             }
-            b.push_unified_batch(&UnifiedBatch::from_rows(&rows[w[0]..w[1]]));
+            push(&mut b, &rows[w[0]..w[1]]);
         }
         b.finish()
+    }
+
+    /// The first day no drawn row reaches.
+    const PAST_EVERY_DAY: i64 = 480;
+
+    fn unified_table(rows: &[UnifiedDownloadRow]) -> UnifiedBatch {
+        let mut t = UnifiedBatch::default();
+        rows.iter().for_each(|r| t.push(r));
+        t
+    }
+
+    fn build_unified(
+        rows: &[UnifiedDownloadRow],
+        cuts: &[usize],
+        junk: Option<(usize, &[UnifiedDownloadRow])>,
+    ) -> StudyData {
+        let late = |r: &UnifiedDownloadRow| UnifiedDownloadRow { day: r.day + PAST_EVERY_DAY, ..r.clone() };
+        let junk = junk.map(|(at, junk)| (at, junk.iter().map(late).collect::<Vec<_>>()));
+        let junk = junk.as_ref().map(|(at, junk)| (*at, junk.as_slice()));
+        build(rows, cuts, junk, |b, rows| b.push_unified_batch(&unified_table(rows)))
+    }
+
+    fn build_traces(
+        rows: &[Scamper1Row],
+        cuts: &[usize],
+        junk: Option<(usize, &[Scamper1Row])>,
+    ) -> StudyData {
+        let late = |r: &Scamper1Row| Scamper1Row { day: r.day + PAST_EVERY_DAY, ..r.clone() };
+        let junk = junk.map(|(at, junk)| (at, junk.iter().map(late).collect::<Vec<_>>()));
+        let junk = junk.as_ref().map(|(at, junk)| (*at, junk.as_slice()));
+        build(rows, cuts, junk, |b, rows| {
+            let mut t = TraceBatch::default();
+            rows.iter().for_each(|r| t.push(r));
+            b.push_trace_batch(&t);
+        })
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -427,10 +521,28 @@ mod props {
             && bits(&a.loss) == bits(&b.loss)
     }
 
-    fn oracle(
-        rows: &[UnifiedDownloadRow],
-        keep: impl Fn(&UnifiedDownloadRow) -> bool,
-    ) -> Vec<usize> {
+    /// Two trace tables hold the same records, floats compared by their
+    /// bits. Equal paths row by row mean equal arenas and end offsets.
+    fn same_traces(a: &TraceBatch, b: &TraceBatch) -> bool {
+        a.rows() == b.rows() && (0..a.rows()).all(|i| same_trace(&a.row(i), &b.row(i)))
+    }
+
+    /// The same record, floats compared by their bits.
+    fn same_trace(a: &Scamper1Row, b: &Scamper1Row) -> bool {
+        a.day == b.day
+            && a.client_ip == b.client_ip
+            && a.server_ip == b.server_ip
+            && a.path_fingerprint == b.path_fingerprint
+            && a.router_fingerprint == b.router_fingerprint
+            && a.resolved_fingerprint == b.resolved_fingerprint
+            && a.as_path == b.as_path
+            && a.border == b.border
+            && a.mean_tput_mbps.to_bits() == b.mean_tput_mbps.to_bits()
+            && a.min_rtt_ms.to_bits() == b.min_rtt_ms.to_bits()
+            && a.loss_rate.to_bits() == b.loss_rate.to_bits()
+    }
+
+    fn oracle<R>(rows: &[R], keep: impl Fn(&R) -> bool) -> Vec<usize> {
         (0..rows.len()).filter(|&i| keep(&rows[i])).collect()
     }
 
@@ -444,10 +556,10 @@ mod props {
             needles in (0usize..6, 0usize..6),
             range in (0i64..480, 0i64..480),
         ) {
-            let data = build(&rows, &cuts, Some((junk_at, &junk)));
-            let clean = build(&rows, &cuts, None);
+            let data = build_unified(&rows, &cuts, Some((junk_at, &junk)));
+            let clean = build_unified(&rows, &cuts, None);
             prop_assert!(same_table(&data.unified, &clean.unified), "rollback left rows behind");
-            prop_assert!(same_table(&data.unified, &UnifiedBatch::from_rows(&rows)));
+            prop_assert!(same_table(&data.unified, &unified_table(&rows)));
             prop_assert_eq!(&data.day_gaps, &clean.day_gaps);
 
             // The last needles match no row: a name outside the catalogue,
@@ -462,7 +574,7 @@ mod props {
             let named = |r: &UnifiedDownloadRow| r.city.map(|c| c.get().name) == Some(city_name);
             let (lo, hi) = range;
             prop_assert_eq!(
-                data.rows().days(lo, hi).rows,
+                data.days(lo, hi).rows,
                 oracle(&rows, |r| (lo..hi).contains(&r.day))
             );
             for p in Period::ALL {
@@ -515,6 +627,59 @@ mod props {
                         prop_assert_eq!(cov.dropped, expect.dropped);
                     }
                 }
+            }
+        }
+
+        #[test]
+        fn trace_table_is_the_rows_pushed_into_it(
+            rows in arb_traces(),
+            cuts in prop::collection::vec(0usize..160, 0..6),
+            junk in arb_traces(),
+            junk_at in 0usize..7,
+            range in (0i64..480, 0i64..480),
+        ) {
+            let data = build_traces(&rows, &cuts, Some((junk_at, &junk)));
+            let clean = build_traces(&rows, &cuts, None);
+            prop_assert!(same_traces(&data.traces, &clean.traces), "rollback left rows behind");
+            let table = &data.traces;
+            prop_assert_eq!(table.rows(), rows.len());
+            for (i, r) in rows.iter().enumerate() {
+                prop_assert!(same_trace(&table.row(i), r), "row {} differs", i);
+            }
+
+            // The shard holds the same table, read whole or group by group.
+            let dir = std::env::temp_dir()
+                .join(format!("ndt-analysis-trace-props-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let path = dir.join("traces.ndts");
+            let file = std::fs::File::create(&path).expect("create");
+            write_traces(std::io::BufWriter::new(file), table).expect("writes");
+            let shard = Shard::open(&path).expect("opens");
+            let (whole, stats) = scan_traces(&shard, RowFilter).expect("scans");
+            prop_assert!(same_traces(&whole, table), "scan_traces differs");
+            prop_assert_eq!(stats.rows_emitted, rows.len() as u64);
+            let mut streamed = TraceBatch::default();
+            let mut groups = 0;
+            scan_trace_batches(&shard, |b| {
+                groups += 1;
+                streamed.append(&b);
+            })
+            .expect("streams");
+            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert!(same_traces(&streamed, table), "scan_trace_batches differs");
+            prop_assert_eq!(groups, rows.len().div_ceil(DEFAULT_GROUP_ROWS));
+
+            let (lo, hi) = range;
+            prop_assert_eq!(
+                data.trace_days(lo, hi).collect::<Vec<_>>(),
+                oracle(&rows, |r| (lo..hi).contains(&r.day))
+            );
+            for p in Period::ALL {
+                let (s, e) = p.day_range();
+                prop_assert_eq!(
+                    data.traces_in(p).collect::<Vec<_>>(),
+                    oracle(&rows, |r| (s..e).contains(&r.day))
+                );
             }
         }
     }

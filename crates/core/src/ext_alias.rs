@@ -51,12 +51,13 @@ pub fn compute(data: &StudyData, top_n: usize) -> Result<AliasComparison, Analys
             /// resolver-level and router-level path sets.
             type ConnPaths = (usize, HashSet<u64>, HashSet<u64>, HashSet<u64>);
             let mut conns: HashMap<(u32, u32), ConnPaths> = HashMap::new();
-            for r in data.traces_in(period) {
-                let e = conns.entry((r.client_ip.0, r.server_ip.0)).or_default();
+            let t = &data.traces;
+            for i in data.traces_in(period) {
+                let e = conns.entry((t.client_ip[i], t.server_ip[i])).or_default();
                 e.0 += 1;
-                e.1.insert(r.path_fingerprint);
-                e.2.insert(r.resolved_fingerprint);
-                e.3.insert(r.router_fingerprint);
+                e.1.insert(t.path_fp[i]);
+                e.2.insert(t.resolved_fp[i]);
+                e.3.insert(t.router_fp[i]);
             }
             // Deterministic top-N: break test-count ties by connection
             // identity so the selection never depends on HashMap order.

@@ -47,8 +47,8 @@ pub fn compute(data: &StudyData) -> Result<IngressScan, AnalysisError> {
     // (ua_asn) → (border_asn → (prewar count, wartime count))
     let mut counts: BTreeMap<Asn, BTreeMap<Asn, (usize, usize)>> = BTreeMap::new();
     for (period, war) in [(Period::Prewar2022, false), (Period::Wartime2022, true)] {
-        for r in data.traces_in(period) {
-            let Some((border, ua)) = r.border else { continue };
+        for &crossing in &data.traces.border[data.traces_in(period)] {
+            let Some((border, ua)) = crossing else { continue };
             let slot = counts.entry(ua).or_default().entry(border).or_default();
             if war {
                 slot.1 += 1;

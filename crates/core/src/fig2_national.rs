@@ -62,7 +62,7 @@ fn year_series(
 ) -> Result<YearSeries, AnalysisError> {
     let start = Date::new(year, 1, 1).day_index();
     let end = start + 108;
-    let q = data.rows().days(start, end);
+    let q = data.days(start, end);
     let mut rtt = DailySeries::new();
     let mut tput = DailySeries::new();
     let mut loss = DailySeries::new();

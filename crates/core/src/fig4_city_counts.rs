@@ -29,7 +29,7 @@ pub fn compute(data: &StudyData) -> Result<CityCounts, AnalysisError> {
     let mut cov = Coverage::new();
     let count_city = |city: &str, cov: &mut Coverage| -> BTreeMap<i64, usize> {
         let days = match city_by_name(city) {
-            Some((id, _)) => data.rows().days(start, end).city(id).day_values(),
+            Some((id, _)) => data.days(start, end).city(id).day_values(),
             None => Vec::new(),
         };
         let mut counts: BTreeMap<i64, usize> = (start..end).map(|d| (d, 0)).collect();

@@ -45,9 +45,10 @@ pub fn compute(data: &StudyData) -> Result<BorderMatrix, AnalysisError> {
     let mut cov = Coverage::new();
     let mut cells: BTreeMap<(Asn, Asn), BorderCell> = BTreeMap::new();
     for (period, wartime) in [(Period::Prewar2022, false), (Period::Wartime2022, true)] {
-        for r in data.traces_in(period) {
-            cov.see(1);
-            if let Some(pair) = r.border {
+        let rows = data.traces_in(period);
+        cov.see(rows.len());
+        for &border in &data.traces.border[rows] {
+            if let Some(pair) = border {
                 let cell = cells.entry(pair).or_insert(BorderCell { prewar: 0, wartime: 0 });
                 if wartime {
                     cell.wartime += 1;

@@ -56,16 +56,18 @@ pub fn compute(data: &StudyData) -> Result<As199995CaseStudy, AnalysisError> {
     let mut ingress: BTreeMap<i64, BTreeMap<Asn, usize>> = BTreeMap::new();
     let mut loss_6663 = DailySeries::new();
     let mut rtt_6663 = DailySeries::new();
-    for r in data.traces.iter().filter(|r| (start..end).contains(&r.day)) {
-        let Some((border, ua)) = r.border else { continue };
+    let t = &data.traces;
+    for i in data.trace_days(start, end) {
+        let Some((border, ua)) = t.border[i] else { continue };
         if ua != wk::AS199995 {
             continue;
         }
-        let week = start + (r.day - start).div_euclid(7) * 7;
+        let day = t.day[i];
+        let week = start + (day - start).div_euclid(7) * 7;
         *ingress.entry(week).or_default().entry(border).or_default() += 1;
         if border == wk::AS6663 {
-            loss_6663.push(r.day, r.loss_rate);
-            rtt_6663.push(r.day, r.min_rtt_ms);
+            loss_6663.push(day, t.loss[i]);
+            rtt_6663.push(day, t.min_rtt[i]);
         }
     }
     let loss_by_week: BTreeMap<i64, f64> =

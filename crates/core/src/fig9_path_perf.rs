@@ -60,12 +60,13 @@ struct ConnAgg {
 
 fn aggregate(data: &StudyData, period: Period) -> HashMap<(u32, u32), ConnAgg> {
     let mut map: HashMap<(u32, u32), ConnAgg> = HashMap::new();
-    for r in data.traces_in(period) {
-        let e = map.entry((r.client_ip.0, r.server_ip.0)).or_default();
+    let t = &data.traces;
+    for i in data.traces_in(period) {
+        let e = map.entry((t.client_ip[i], t.server_ip[i])).or_default();
         e.tests += 1;
-        e.paths.insert(r.path_fingerprint);
-        e.tput_sum += r.mean_tput_mbps;
-        e.loss_sum += r.loss_rate;
+        e.paths.insert(t.path_fp[i]);
+        e.tput_sum += t.tput[i];
+        e.loss_sum += t.loss[i];
     }
     map
 }

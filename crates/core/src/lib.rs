@@ -22,14 +22,13 @@
 //! | [`fig7_8_distributions`] | Figures 7 & 8 — metric distributions |
 //! | [`fig9_path_perf`] | Figure 9 — path churn vs performance change |
 //!
-//! [`dataset::StudyData`] wraps the generated corpus: the
-//! `unified_download`-shaped rows live in one typed columnar table, the
-//! same nine columns the store encodes, and the §4 analyses slice it with
-//! a [`dataset::Selection`] by period, city or oblast and read
-//! [`dataset::Metric`] columns over it, as the paper's BigQuery queries
-//! do; the scamper rows ([`dataset::StudyData::traces`]) are consumed
-//! natively (BigQuery holds scamper data in nested records, which the
-//! columnar table does not model).
+//! [`dataset::StudyData`] wraps the generated corpus as two day-ordered
+//! columnar tables, the same columns the store encodes: the §4 analyses
+//! slice the `unified_download` table with a [`dataset::Selection`] by
+//! period, city or oblast and read [`dataset::Metric`] columns over it, as
+//! the paper's BigQuery queries do; the §5 analyses read the scamper table
+//! ([`dataset::StudyData::traces`], each AS path a slice of one arena)
+//! over a period's rows.
 //!
 //! Three extension modules implement the paper's stated future work and
 //! self-identified limitations: [`ext_alias`] (router alias resolution vs

@@ -44,14 +44,13 @@ pub fn compute(data: &StudyData, top_n: usize) -> Result<PathDiversity, Analysis
         .map(|&period| {
             // connection → (test count, distinct fingerprints)
             let mut conns: HashMap<(u32, u32), (usize, HashSet<u64>)> = HashMap::new();
-            let mut traces = 0usize;
-            for r in data.traces_in(period) {
-                traces += 1;
-                let e = conns.entry((r.client_ip.0, r.server_ip.0)).or_default();
+            let (t, rows) = (&data.traces, data.traces_in(period));
+            cov.see(rows.len());
+            for i in rows {
+                let e = conns.entry((t.client_ip[i], t.server_ip[i])).or_default();
                 e.0 += 1;
-                e.1.insert(r.path_fingerprint);
+                e.1.insert(t.path_fp[i]);
             }
-            cov.see(traces);
             // Ties at the top-N cutoff are broken by connection identity,
             // never by HashMap iteration order — the selection (and the
             // float accumulation below) must be bit-for-bit reproducible.

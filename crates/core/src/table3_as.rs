@@ -76,14 +76,15 @@ pub struct AsTable {
 /// trace counts once per AS on its path — and the period's trace count.
 fn samples_through(data: &StudyData, period: Period, top: &[Asn]) -> (Vec<Samples>, usize) {
     let mut samples = vec![Samples::default(); top.len()];
-    let mut traces = 0;
-    for r in data.traces_in(period) {
-        traces += 1;
+    let (t, rows) = (&data.traces, data.traces_in(period));
+    let traces = rows.len();
+    for i in rows {
+        let path = t.as_path(i);
         for (asn, s) in top.iter().zip(&mut samples) {
-            if r.as_path.contains(asn) {
-                s.tput.push(r.mean_tput_mbps);
-                s.min_rtt.push(r.min_rtt_ms);
-                s.loss.push(r.loss_rate);
+            if path.contains(asn) {
+                s.tput.push(t.tput[i]);
+                s.min_rtt.push(t.min_rtt[i]);
+                s.loss.push(t.loss[i]);
             }
         }
     }
@@ -102,8 +103,9 @@ fn top_ases(data: &StudyData, n: usize) -> Vec<Asn> {
     use ndt_topology::build::SYNTHETIC_ASN_BASE;
     // Access network = the last AS of a path.
     let mut eyeballs: HashMap<Asn, usize> = HashMap::new();
-    for r in data.traces_in(Period::Prewar2022).chain(data.traces_in(Period::Wartime2022)) {
-        if let Some(last) = r.as_path.last() {
+    let t = &data.traces;
+    for i in data.traces_in(Period::Prewar2022).chain(data.traces_in(Period::Wartime2022)) {
+        if let Some(last) = t.as_path(i).last() {
             if last.0 < SYNTHETIC_ASN_BASE {
                 *eyeballs.entry(*last).or_default() += 1;
             }
@@ -353,8 +355,10 @@ mod tests {
                 (Period::Prewar2022, &row.prewar, row.tests_prewar),
                 (Period::Wartime2022, &row.wartime, row.tests_wartime),
             ] {
-                let through: Vec<&ndt_mlab::Scamper1Row> = shared_medium()
+                let data = shared_medium();
+                let through: Vec<ndt_mlab::Scamper1Row> = data
                     .traces_in(period)
+                    .map(|i| data.traces.row(i))
                     .filter(|r| r.as_path.contains(&row.asn))
                     .collect();
                 let metric = |f: fn(&ndt_mlab::Scamper1Row) -> f64| {

@@ -1,5 +1,8 @@
 //! Published row shapes, mirroring the two BigQuery tables the paper reads.
+//! A row is one test's record; the tables themselves are columnar
+//! ([`crate::columnar`]).
 
+use crate::columnar::{TraceBatch, UnifiedBatch};
 use ndt_geo::{CityId, Oblast};
 use ndt_topology::{Asn, Ipv4Addr};
 
@@ -60,11 +63,12 @@ pub struct Scamper1Row {
     pub loss_rate: f64,
 }
 
-/// A generated dataset: both "BigQuery tables".
+/// A generated dataset: both "BigQuery tables", as the typed columns the
+/// store and the analyses read. Both tables are in day order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// §4's table: downsampled, validated download rows.
-    pub ndt: Vec<UnifiedDownloadRow>,
+    pub ndt: UnifiedBatch,
     /// §5's table: one traceroute row per raw test.
-    pub traces: Vec<Scamper1Row>,
+    pub traces: TraceBatch,
 }

@@ -593,9 +593,9 @@ impl Simulator {
             }
         });
         let mut totals = SimCounters::default();
-        for (mut b, c) in buffers {
-            ds.ndt.append(&mut b.ndt);
-            ds.traces.append(&mut b.traces);
+        for (b, c) in buffers {
+            ds.ndt.append(&b.ndt);
+            ds.traces.append(&b.traces);
             totals.merge(&c);
         }
         totals
@@ -731,7 +731,7 @@ impl Simulator {
             if truncated {
                 counters.sidecar_truncations += 1;
             }
-            ds.traces.push(Scamper1Row {
+            ds.traces.push(&Scamper1Row {
                 day,
                 client_ip: client.ip,
                 server_ip: site.server_ip,
@@ -788,7 +788,7 @@ impl Simulator {
                 None => {}
             }
             counters.ndt_rows_published += 1;
-            ds.ndt.push(row);
+            ds.ndt.push(&row);
         }
     }
 }
@@ -809,23 +809,25 @@ mod tests {
         // Expected raw volume: two 108-day windows, the 2021 one at
         // reduced volume: 108 × 7900 × (0.42 + 1.0) × scale.
         let expected = 108.0 * 7_900.0 * (cfg.volume_mult_2021 + 1.0) * cfg.scale;
-        let got = ds.traces.len() as f64;
+        let got = ds.traces.rows() as f64;
         assert!((got - expected).abs() / expected < 0.15, "raw tests = {got}, expected ≈ {expected}");
         // Unified subsample fraction.
-        let frac = ds.ndt.len() as f64 / got;
+        let frac = ds.ndt.rows() as f64 / got;
         assert!((frac - cfg.unified_fraction).abs() < 0.01, "unified fraction = {frac}");
         // Rows from both years.
-        assert!(ds.traces.iter().any(|r| r.day < 365));
-        assert!(ds.traces.iter().any(|r| r.day >= 365));
+        assert!(ds.traces.day.iter().any(|&d| d < 365));
+        assert!(ds.traces.day.iter().any(|&d| d >= 365));
     }
 
     #[test]
     fn deterministic_under_seed() {
         let a = small_dataset(9);
         let b = small_dataset(9);
-        assert_eq!(a.traces.len(), b.traces.len());
-        assert_eq!(a.ndt.len(), b.ndt.len());
-        assert_eq!(a.traces[..50.min(a.traces.len())], b.traces[..50.min(b.traces.len())]);
+        assert_eq!(a.traces.rows(), b.traces.rows());
+        assert_eq!(a.ndt.rows(), b.ndt.rows());
+        for i in 0..50.min(a.traces.rows()) {
+            assert_eq!(a.traces.row(i), b.traces.row(i));
+        }
     }
 
     #[test]
@@ -854,17 +856,17 @@ mod tests {
         let mut sim = Simulator::new(cfg);
         let mut reused = Dataset::default();
         for shard in cfg.shards(27) {
-            let mut part = sim.run_range(shard);
-            reused.ndt.append(&mut part.ndt);
-            reused.traces.append(&mut part.traces);
+            let part = sim.run_range(shard);
+            reused.ndt.append(&part.ndt);
+            reused.traces.append(&part.traces);
         }
         assert_eq!(full, reused, "reused-simulator shards diverge from the full run");
         // ... and a fresh simulator per shard (the resume-from-disk path).
         let mut fresh = Dataset::default();
         for shard in cfg.shards(27) {
-            let mut part = Simulator::new(cfg).run_range(shard);
-            fresh.ndt.append(&mut part.ndt);
-            fresh.traces.append(&mut part.traces);
+            let part = Simulator::new(cfg).run_range(shard);
+            fresh.ndt.append(&part.ndt);
+            fresh.traces.append(&part.traces);
         }
         assert_eq!(full, fresh, "fresh-simulator shards diverge from the full run");
     }
@@ -887,8 +889,9 @@ mod tests {
         let ds = small_dataset(3);
         let (ps, pe) = Period::Prewar2022.day_range();
         let (ws, we) = Period::Wartime2022.day_range();
+        let rows: Vec<UnifiedDownloadRow> = (0..ds.ndt.rows()).map(|i| ds.ndt.row(i)).collect();
         let sel = |lo: i64, hi: i64| -> Vec<&UnifiedDownloadRow> {
-            ds.ndt.iter().filter(|r| (lo..hi).contains(&r.day)).collect()
+            rows.iter().filter(|r| (lo..hi).contains(&r.day)).collect()
         };
         let mean = |rows: &[&UnifiedDownloadRow], f: fn(&UnifiedDownloadRow) -> f64| {
             rows.iter().map(|r| f(r)).sum::<f64>() / rows.len() as f64
@@ -912,8 +915,9 @@ mod tests {
         let (b1s, b1e) = Period::BaselineJanFeb2021.day_range();
         let (b2s, b2e) = Period::BaselineFebApr2021.day_range();
         let mean_loss = |lo: i64, hi: i64| {
-            let rows: Vec<_> = ds.ndt.iter().filter(|r| (lo..hi).contains(&r.day)).collect();
-            rows.iter().map(|r| r.loss_rate).sum::<f64>() / rows.len() as f64
+            let t = &ds.ndt;
+            let rows: Vec<usize> = (0..t.rows()).filter(|&i| (lo..hi).contains(&t.day[i])).collect();
+            rows.iter().map(|&i| t.loss[i]).sum::<f64>() / rows.len() as f64
         };
         let a = mean_loss(b1s, b1e);
         let b = mean_loss(b2s, b2e);
@@ -924,7 +928,7 @@ mod tests {
     fn outage_day_shows_test_spike() {
         let ds = small_dataset(5);
         let mar10 = dates::NATIONAL_OUTAGES.day_index();
-        let count = |d: i64| ds.traces.iter().filter(|r| r.day == d).count() as f64;
+        let count = |d: i64| ds.traces.day.iter().filter(|&&day| day == d).count() as f64;
         let spike = count(mar10);
         let typical = ((mar10 - 6)..(mar10 - 1)).map(count).sum::<f64>() / 5.0;
         assert!(spike > 1.25 * typical, "no spike: {spike} vs typical {typical}");
@@ -933,7 +937,7 @@ mod tests {
     #[test]
     fn traces_have_valid_structure() {
         let ds = small_dataset(6);
-        for r in ds.traces.iter().take(2_000) {
+        for r in (0..ds.traces.rows().min(2_000)).map(|i| ds.traces.row(i)) {
             assert!(r.as_path.len() >= 2);
             assert!(r.border.is_some(), "every UA test crosses the border");
             assert!(r.min_rtt_ms > 0.0);

@@ -68,7 +68,7 @@ fn simulated_rows_are_consistent() {
     };
     let ds = sim.run();
     assert!(!ds.traces.is_empty());
-    for r in &ds.traces {
+    for r in (0..ds.traces.rows()).map(|i| ds.traces.row(i)) {
         assert!(r.as_path.len() >= 2, "degenerate AS path");
         // Path ends in Ukraine, starts abroad.
         assert!(bt_catalog_is_ua(*r.as_path.last().unwrap()));
@@ -80,7 +80,7 @@ fn simulated_rows_are_consistent() {
         assert!(r.min_rtt_ms > 0.0 && r.min_rtt_ms < 1_000.0);
         assert!(r.mean_tput_mbps > 0.0 && r.mean_tput_mbps <= 1_000.0);
     }
-    for r in &ds.ndt {
+    for r in (0..ds.ndt.rows()).map(|i| ds.ndt.row(i)) {
         // Unified rows' ASN annotation matches the address plan.
         assert_eq!(sim.built().topology.prefixes.lookup(r.client_ip), Some(r.client_asn));
         if r.city.is_some() {

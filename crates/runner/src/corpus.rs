@@ -368,14 +368,7 @@ fn simulate(
         };
         tally.merge(setup);
         let saved = store.map(|s| save_shard(s, &shard.stem, &rows, &mut tally));
-        let rows = (!store.is_some_and(|s| s.output)).then(|| {
-            // Hand back exact-size buffers: shards finish in parallel, and
-            // growth slack would otherwise stack up until each is merged.
-            let mut rows = rows;
-            rows.ndt.shrink_to_fit();
-            rows.traces.shrink_to_fit();
-            rows
-        });
+        let rows = (!store.is_some_and(|s| s.output)).then_some(rows);
         (rows, tally, saved)
     };
     catch_unwind(AssertUnwindSafe(run)).map_err(|payload| {

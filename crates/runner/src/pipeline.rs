@@ -475,9 +475,9 @@ mod tests {
     /// when a shard failed.
     fn generate(cfg: &PipelineConfig) -> (Option<Dataset>, Vec<StageRecord>) {
         let mut full = Dataset::default();
-        let (complete, records) = run_generate(cfg, |mut part| {
-            full.ndt.append(&mut part.ndt);
-            full.traces.append(&mut part.traces);
+        let (complete, records) = run_generate(cfg, |part| {
+            full.ndt.append(&part.ndt);
+            full.traces.append(&part.traces);
         })
         .expect("generate");
         (complete.then_some(full), records)
@@ -557,6 +557,39 @@ mod tests {
             "report assembled"
         );
         assert!(!d.join("never-created").exists(), "no checkpoint dir without checkpointing");
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    /// A checkpoint shard pair copied over another stem's files passes
+    /// every checksum, but its rows leave the stem's day range: a resume
+    /// recomputes that shard instead of handing the copied days back.
+    #[test]
+    fn a_checkpoint_shard_outside_its_days_is_recomputed_not_resumed() {
+        let d = tmpdir("copied-shard");
+        let mut cfg = PipelineConfig::new(tiny(35), &d);
+        let (clean, _) = generate(&cfg);
+        let stems: Vec<String> = cfg
+            .sim
+            .shards(CORPUS_SHARD_DAYS)
+            .iter()
+            .map(|r| {
+                crate::store::shard_stem(r.start, r.end, crate::checkpoint::config_fingerprint(&cfg.sim))
+            })
+            .collect();
+        let dir = d.join(CHECKPOINT_DIR);
+        for table in ["unified", "traces"] {
+            let from = dir.join(format!("{}.{table}.ndts", stems[0]));
+            fs::copy(from, dir.join(format!("{}.{table}.ndts", stems[1]))).expect("copy pair");
+        }
+        cfg.resume = true;
+        let (resumed, records) = generate(&cfg);
+        let statuses: Vec<_> = records.iter().map(|r| r.status.clone()).collect();
+        assert_eq!(statuses[1], StageStatus::Computed, "{records:?}");
+        assert!(
+            statuses.iter().enumerate().all(|(i, s)| i == 1 || *s == StageStatus::Resumed),
+            "{records:?}"
+        );
+        assert_eq!(resumed.expect("complete corpus"), clean.expect("complete corpus"));
         let _ = fs::remove_dir_all(&d);
     }
 

@@ -17,10 +17,13 @@
 //!
 //! `report --from-store` never runs the simulator: it streams the
 //! manifest's shards back through [`ndt_mlab::columnar`] as columnar
-//! batches into the same [`StudyDataBuilder`] the in-memory path fills,
-//! in shard order, and runs the exact same analysis stages — so its
-//! report and artifacts are byte-identical to `report`'s at every
-//! scale/faults/threads combination (enforced by `tests/store.rs`).
+//! batches of both tables into the same [`StudyDataBuilder`] the
+//! in-memory path fills, in day order, and runs the exact same analysis
+//! stages — so its report and artifacts are byte-identical to `report`'s
+//! at every scale/faults/threads combination (enforced by
+//! `tests/store.rs`). Shards load in day order whatever order `STORE.txt`
+//! lists them in, and a pair whose rows leave its stem's days or go back
+//! is quarantined (on resume, recomputed), however sound its checksums.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -29,8 +32,8 @@ use std::thread;
 
 use ndt_analysis::{assemble_staged_report, CountryDigest, StudyDataBuilder};
 use ndt_mlab::columnar::{
-    publish_scan_stats, scan_traces, scan_unified, scan_unified_batches, write_traces,
-    write_unified, RowFilter, UnifiedBatch,
+    publish_scan_stats, scan_trace_batches, scan_unified_batches, write_traces, write_unified,
+    RowFilter, TraceBatch, UnifiedBatch,
 };
 use ndt_mlab::schema::Dataset;
 use ndt_mlab::sim::SimConfig;
@@ -193,7 +196,7 @@ pub(crate) fn write_manifest(store: &UnitStore, sim: &SimConfig) -> io::Result<(
     retry_io(&store.retry, write)
 }
 
-/// A parsed store manifest: shard stems (day order) plus any auxiliary
+/// A parsed store manifest: shard stems (in day order) plus any auxiliary
 /// digest files (`digest <name>` lines — the second-country digest of
 /// asymmetric scenarios).
 struct Manifest {
@@ -201,15 +204,18 @@ struct Manifest {
     digests: Vec<String>,
 }
 
+/// A store's manifest path and text.
+fn manifest_text(vfs: &VfsHandle, store_dir: &Path) -> io::Result<(PathBuf, String)> {
+    let path = store_dir.join(STORE_MANIFEST);
+    match vfs.read_to_string(&path) {
+        Ok(text) => Ok((path, text)),
+        Err(e) => Err(io::Error::new(e.kind(), format!("cannot open store manifest {}: {e}", path.display()))),
+    }
+}
+
 /// Parses a store manifest into shard stems (day order).
 fn read_manifest(vfs: &VfsHandle, store_dir: &Path) -> io::Result<Manifest> {
-    let path = store_dir.join(STORE_MANIFEST);
-    let text = vfs.read_to_string(&path).map_err(|e| {
-        io::Error::new(
-            e.kind(),
-            format!("cannot open store manifest {}: {e}", path.display()),
-        )
-    })?;
+    let (path, text) = manifest_text(vfs, store_dir)?;
     let mut lines = text.lines();
     if lines.next() != Some(MANIFEST_HEADER) {
         return Err(io::Error::new(
@@ -259,6 +265,9 @@ fn read_manifest(vfs: &VfsHandle, store_dir: &Path) -> io::Result<Manifest> {
             format!("{} lists no shards", path.display()),
         ));
     }
+    // Day order, whatever order the lines are in; a stem naming no day
+    // range sorts first (and is quarantined when loaded).
+    stems.sort_by_key(|stem| stem_day_range(stem));
     Ok(Manifest { stems, digests })
 }
 
@@ -268,13 +277,7 @@ fn read_manifest(vfs: &VfsHandle, store_dir: &Path) -> io::Result<Manifest> {
 /// from the same configuration answer identically, so their cache entries
 /// may as well.
 pub fn read_store_fingerprint(vfs: &VfsHandle, store_dir: &Path) -> io::Result<u64> {
-    let path = store_dir.join(STORE_MANIFEST);
-    let text = vfs.read_to_string(&path).map_err(|e| {
-        io::Error::new(
-            e.kind(),
-            format!("cannot open store manifest {}: {e}", path.display()),
-        )
-    })?;
+    let (path, text) = manifest_text(vfs, store_dir)?;
     text.lines()
         .find_map(|l| l.strip_prefix("fingerprint "))
         .and_then(|hex| u64::from_str_radix(hex.trim(), 16).ok())
@@ -288,9 +291,9 @@ pub fn read_store_fingerprint(vfs: &VfsHandle, store_dir: &Path) -> io::Result<u
 
 /// How `report --from-store` turns shard pages into analysis inputs. It
 /// has one value: validated columnar batches flow from the page decoder
-/// straight onto the end of the unified table, shard pairs decode in
-/// parallel under the thread budget, and one coordinator ingests them in
-/// manifest order. The type stays so callers of
+/// onto the ends of the two tables, shard pairs decode in parallel under
+/// the thread budget, and one coordinator ingests them in day order. The
+/// type stays so callers of
 /// [`load_study_data_with`] and [`run_report_from_store_with`] keep their
 /// signatures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -300,17 +303,37 @@ pub enum ScanEngine {
     Vectorized,
 }
 
-/// Reads both files of one shard fully into rows — the resume path of a
+/// Fails unless a table's next rows lie in the stem's `[lo, hi)` and
+/// never go back from `*last` (`lo` at first). A pair copied over another
+/// stem's files passes every checksum; this is what tells.
+fn check_days((lo, hi): (i64, i64), last: &mut i64, days: &[i64]) -> io::Result<()> {
+    for &day in days {
+        if day < *last || day >= hi {
+            let e = format!("day {day} after day {last} breaks the shard's day order ({lo}-{hi})");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, e));
+        }
+        *last = day;
+    }
+    Ok(())
+}
+
+/// Reads both files of one shard into one dataset — the resume path of a
 /// checkpoint store, whose shards go back through the shard pool's
-/// hand-back. Decoding verifies every page checksum.
+/// hand-back. Decoding verifies every page checksum, and rows outside the
+/// stem's day order fail the read, so the shard is recomputed.
 pub(crate) fn read_shard_pair(vfs: &VfsHandle, store_dir: &Path, stem: &str) -> io::Result<Dataset> {
+    let mut ds = Dataset::default();
     let unified =
         Shard::open_with(vfs, store_dir.join(unified_name(stem))).map_err(|e| e.into_io())?;
-    let (ndt, _) = scan_unified(&unified).map_err(|e| e.into_io())?;
+    scan_unified_batches(&unified, RowFilter, |b| ds.ndt.append(&b)).map_err(|e| e.into_io())?;
     let traces =
         Shard::open_with(vfs, store_dir.join(traces_name(stem))).map_err(|e| e.into_io())?;
-    let (traces, _) = scan_traces(&traces, RowFilter).map_err(|e| e.into_io())?;
-    Ok(Dataset { ndt, traces })
+    scan_trace_batches(&traces, |b| ds.traces.append(&b)).map_err(|e| e.into_io())?;
+    let range = stem_day_range(stem).unwrap_or_default();
+    let (mut ulast, mut tlast) = (range.0, range.0);
+    check_days(range, &mut ulast, &ds.ndt.day)?;
+    check_days(range, &mut tlast, &ds.traces.day)?;
+    Ok(ds)
 }
 
 /// Moves both files of a damaged shard into `<store>/.quarantine/` so the
@@ -331,8 +354,9 @@ fn quarantine_shard(vfs: &VfsHandle, store_dir: &Path, stem: &str) {
 }
 
 /// Streams a store directory back into a [`ndt_analysis::StudyData`], in
-/// manifest (day) order, **degrading instead of dying**: a shard that is
-/// missing, truncated, or fails its payload checksums is quarantined
+/// day order, **degrading instead of dying**: a shard that is missing,
+/// truncated, fails its payload checksums, names no day range, or holds
+/// rows outside its stem's day order is quarantined
 /// (moved to `<store>/.quarantine/`, counted under
 /// `store.shards_quarantined` / `store.days_missing`) and the load
 /// continues with the surviving shards. Each quarantined shard is
@@ -445,20 +469,20 @@ pub fn load_study_data_with(
 }
 
 /// Messages one decode worker streams to the ingest coordinator for one
-/// shard pair, in order: any number of `Unified` batches, then the
-/// pair's traces, then `Done` — or `Failed` at any point, after which the
-/// coordinator rolls the pair back and quarantines it.
+/// shard pair, in order: any number of `Unified` batches, then any number
+/// of `Traces` batches, then `Done` — or `Failed` at any point, after
+/// which the coordinator rolls the pair back and quarantines it.
 enum PairMsg {
     Unified(UnifiedBatch),
-    Traces(Vec<ndt_mlab::Scamper1Row>),
+    Traces(TraceBatch),
     Done { ustats: ScanStats, tstats: ScanStats },
     Failed(io::Error),
 }
 
-/// Row-group batches a worker may have in its pair channel before it
-/// blocks — with the one batch each side holds in hand, resident
-/// undigested rows are bounded by `workers × (CAP + 2)` row groups
-/// regardless of corpus size.
+/// Row-group batches (of either table) a worker may have in its pair
+/// channel before it blocks — with the one batch each side holds in hand,
+/// resident undigested rows of both tables are bounded by
+/// `workers × (CAP + 2)` row groups regardless of corpus size.
 const BATCH_CHANNEL_CAP: usize = 2;
 
 /// Decodes one shard pair, streaming results into `tx`. Runs on a pool
@@ -473,33 +497,36 @@ fn decode_pair(
 ) {
     use std::sync::atomic::Ordering;
     let body = || -> io::Result<(ScanStats, ScanStats)> {
+        if stem_day_range(stem).is_none() {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "the shard names no day range"));
+        }
         let started = std::time::Instant::now();
         // Time actually spent handing batches to the (possibly busy)
         // coordinator — backpressure, not scan work — excluded from the
         // scan-throughput accounting.
-        let mut blocked = std::time::Duration::ZERO;
-        let unified = Shard::open_with(vfs, store_dir.join(unified_name(stem)))
-            .map_err(|e| e.into_io())?;
-        let ustats = scan_unified_batches(&unified, RowFilter, |b| {
-            if b.is_empty() {
+        let blocked = std::cell::Cell::new(std::time::Duration::ZERO);
+        // Counts a batch resident from the moment it exists (the
+        // coordinator subtracts after ingesting it), then sends it.
+        let send = |rows: usize, msg: PairMsg| {
+            if rows == 0 {
                 return;
             }
-            // Count the batch resident from the moment it exists; the
-            // coordinator subtracts after ingesting it.
-            let now = resident.fetch_add(b.rows() as u64, Ordering::Relaxed) + b.rows() as u64;
+            let now = resident.fetch_add(rows as u64, Ordering::Relaxed) + rows as u64;
             ndt_obs::set_process_max("store.peak_resident_rows", now);
             let t0 = std::time::Instant::now();
-            let _ = tx.send(PairMsg::Unified(b));
-            blocked += t0.elapsed();
-        })
-        .map_err(|e| e.into_io())?;
-        let scanning = started.elapsed().saturating_sub(blocked);
+            let _ = tx.send(msg);
+            blocked.set(blocked.get() + t0.elapsed());
+        };
+        let unified = Shard::open_with(vfs, store_dir.join(unified_name(stem)))
+            .map_err(|e| e.into_io())?;
+        let ustats = scan_unified_batches(&unified, RowFilter, |b| send(b.rows(), PairMsg::Unified(b)))
+            .map_err(|e| e.into_io())?;
+        let scanning = started.elapsed().saturating_sub(blocked.get());
         scan_us.fetch_add(scanning.as_micros() as u64, Ordering::Relaxed);
         let traces = Shard::open_with(vfs, store_dir.join(traces_name(stem)))
             .map_err(|e| e.into_io())?;
-        let (trace_rows, tstats) =
-            scan_traces(&traces, RowFilter).map_err(|e| e.into_io())?;
-        let _ = tx.send(PairMsg::Traces(trace_rows));
+        let tstats = scan_trace_batches(&traces, |b| send(b.rows(), PairMsg::Traces(b)))
+            .map_err(|e| e.into_io())?;
         Ok((ustats, tstats))
     };
     let msg = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
@@ -514,12 +541,14 @@ fn decode_pair(
 }
 
 /// The store loader: a bounded pool of decode workers claims shard pairs
-/// in manifest order from a shared cursor and streams validated columnar
-/// batches through per-pair bounded channels; the coordinator ingests
-/// pair-by-pair in manifest order, so table contents, stats, quarantine
-/// records and counters are byte-identical to a sequential run at any
-/// thread count. A pair that fails mid-stream is rolled back to its start
-/// mark and quarantined: a failed shard contributes nothing.
+/// in day order from a shared cursor and streams validated columnar
+/// batches of both tables through per-pair bounded channels; the
+/// coordinator checks each batch's days against its stem and ingests pair
+/// by pair in day order, so table contents, stats, quarantine records and
+/// counters are byte-identical to a sequential run at any thread count. A
+/// pair that fails mid-stream, or whose rows break its stem's day order,
+/// is rolled back to its start mark and quarantined: a failed shard
+/// contributes nothing.
 fn load_shards(
     vfs: &VfsHandle,
     store_dir: &Path,
@@ -560,29 +589,42 @@ fn load_shards(
             });
         }
 
-        // Coordinator: drain pair channels in manifest order.
-        for (j, stem) in stems.iter().enumerate() {
+        // Coordinator: drain pair channels in day order. After a batch
+        // breaks its stem's day order, the pair's later batches are
+        // drained and dropped.
+        for (stem, rx) in stems.iter().zip(&rxs) {
             let mark = builder.mark();
-            let mut outcome: Option<io::Result<(ScanStats, ScanStats)>> = None;
-            while outcome.is_none() {
-                match rxs[j].recv() {
+            let range = stem_day_range(stem).unwrap_or_default();
+            let (mut ulast, mut tlast) = (range.0, range.0);
+            let mut order = Ok(());
+            let outcome = loop {
+                match rx.recv() {
                     Ok(PairMsg::Unified(b)) => {
-                        let t0 = std::time::Instant::now();
-                        builder.push_unified_batch(&b);
-                        metrics.ingest_us += t0.elapsed().as_micros() as u64;
+                        order = order.and_then(|()| check_days(range, &mut ulast, &b.day));
+                        if order.is_ok() {
+                            let t0 = std::time::Instant::now();
+                            builder.push_unified_batch(&b);
+                            metrics.ingest_us += t0.elapsed().as_micros() as u64;
+                        }
                         resident.fetch_sub(b.rows() as u64, Ordering::Relaxed);
                     }
-                    Ok(PairMsg::Traces(rows)) => builder.push_trace_rows(rows),
-                    Ok(PairMsg::Done { ustats, tstats }) => outcome = Some(Ok((ustats, tstats))),
-                    Ok(PairMsg::Failed(e)) => outcome = Some(Err(e)),
+                    Ok(PairMsg::Traces(b)) => {
+                        order = order.and_then(|()| check_days(range, &mut tlast, &b.day));
+                        if order.is_ok() {
+                            builder.push_trace_batch(&b);
+                        }
+                        resident.fetch_sub(b.rows() as u64, Ordering::Relaxed);
+                    }
+                    Ok(PairMsg::Done { ustats, tstats }) => break order.map(|()| (ustats, tstats)),
+                    Ok(PairMsg::Failed(e)) => break Err(e),
                     Err(_) => {
-                        outcome = Some(Err(io::Error::other(
+                        break Err(io::Error::other(
                             "shard decode worker exited before finishing the pair",
-                        )));
+                        ))
                     }
                 }
-            }
-            match outcome.expect("loop exits with outcome") {
+            };
+            match outcome {
                 Ok((ustats, tstats)) => {
                     publish_scan_stats(&ustats);
                     publish_scan_stats(&tstats);

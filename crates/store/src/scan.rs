@@ -32,8 +32,6 @@ pub struct ScanStats {
 /// One row group's decoded columns; a [`Scan`] yields them in file order.
 #[derive(Debug)]
 pub struct Batch {
-    /// Non-aux row count of the group.
-    pub rows: u32,
     /// One decoded page per schema column, in schema order.
     pub columns: Vec<ColumnData>,
 }
@@ -109,7 +107,7 @@ impl<'a> Scan<'a> {
         }
         self.stats.groups_scanned += 1;
         self.stats.rows_emitted += rows as u64;
-        Ok(Batch { rows, columns })
+        Ok(Batch { columns })
     }
 }
 

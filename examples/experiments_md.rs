@@ -39,7 +39,7 @@ fn main() {
     println!(
         "(~852k raw 2022 tests at scale 1.0), seed {seed}; this run: {} unified rows, {} traceroutes.",
         data.unified_len(),
-        data.traces.len()
+        data.traces.rows()
     );
     println!();
     println!("Reading guide: *absolute* values are model outputs and are expected to");

@@ -16,7 +16,7 @@ fn main() {
     println!(
         "  {} unified_download rows, {} scamper rows\n",
         data.unified_len(),
-        data.traces.len()
+        data.traces.rows()
     );
 
     println!("Table 1 — city-level metrics, prewar vs wartime (Welch's t-test):\n");

@@ -448,7 +448,7 @@ fn write_csv_shard(
     traces: &mut AtomicFile,
     shard: &Dataset,
 ) -> std::io::Result<()> {
-    for r in &shard.ndt {
+    for r in (0..shard.ndt.rows()).map(|i| shard.ndt.row(i)) {
         writeln!(
             unified,
             "{},{},{},{},{},{},{:.4},{:.4},{:.6}",
@@ -463,7 +463,7 @@ fn write_csv_shard(
             r.loss_rate
         )?;
     }
-    for r in &shard.traces {
+    for r in (0..shard.traces.rows()).map(|i| shard.traces.row(i)) {
         let as_path: Vec<String> = r.as_path.iter().map(|a| a.0.to_string()).collect();
         writeln!(
             traces,
@@ -510,7 +510,7 @@ fn cmd_generate(opts: &Options) -> Result<ExitCode, NdtError> {
     let (complete, records) = run_generate(&cfg, |shard| {
         if write_error.is_none() {
             write_error = write_csv_shard(&mut unified, &mut traces, &shard).err();
-            rows = (rows.0 + shard.ndt.len(), rows.1 + shard.traces.len());
+            rows = (rows.0 + shard.ndt.rows(), rows.1 + shard.traces.rows());
         }
     })?;
     if let Some(e) = write_error {

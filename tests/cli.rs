@@ -211,8 +211,8 @@ fn csv_generate_streams_thread_independent_files_and_abandons_them_on_failure() 
     let corpus = ukraine_ndt::mlab::Simulator::new(sim).run();
     // One header line, then one line per row.
     let rows = |csv: &[u8]| csv.iter().filter(|&&b| b == b'\n').count() - 1;
-    assert_eq!(rows(&csvs[0][0]), corpus.ndt.len());
-    assert_eq!(rows(&csvs[0][1]), corpus.traces.len());
+    assert_eq!(rows(&csvs[0][0]), corpus.ndt.rows());
+    assert_eq!(rows(&csvs[0][1]), corpus.traces.rows());
 
     let out = d.join("failed");
     let out_arg = out.display().to_string();

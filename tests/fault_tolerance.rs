@@ -136,8 +136,8 @@ fn faulted_runs_are_bit_for_bit_deterministic() {
     let b = dataset(0.06, FaultPlan::MODERATE);
     // Corrupt rows carry injected NaNs, so `PartialEq` (NaN != NaN) cannot
     // express bit-for-bit equality — compare float fields by bit pattern.
-    assert_eq!(a.ndt.len(), b.ndt.len(), "download row counts differ");
-    for (x, y) in a.ndt.iter().zip(&b.ndt) {
+    assert_eq!(a.ndt.rows(), b.ndt.rows(), "download row counts differ");
+    for (x, y) in (0..a.ndt.rows()).map(|i| (a.ndt.row(i), b.ndt.row(i))) {
         assert_eq!(
             (x.day, x.client_ip, x.server_ip, x.client_asn, x.oblast, x.city),
             (y.day, y.client_ip, y.server_ip, y.client_asn, y.oblast, y.city)
@@ -167,6 +167,6 @@ fn faults_only_degrade_the_clean_corpus() {
     // the clean one: fewer (or equal) rows and traces, never new data.
     let clean = dataset(0.06, FaultPlan::NONE);
     let faulted = dataset(0.06, FaultPlan::SEVERE);
-    assert!(faulted.ndt.len() <= clean.ndt.len(), "faults added download rows");
-    assert!(faulted.traces.len() < clean.traces.len(), "30% sidecar loss left traces intact");
+    assert!(faulted.ndt.rows() <= clean.ndt.rows(), "faults added download rows");
+    assert!(faulted.traces.rows() < clean.traces.rows(), "30% sidecar loss left traces intact");
 }

@@ -9,11 +9,18 @@
 //!   each artifact's name and bytes in order. They pin the analyses the
 //!   same way: a change to how the §4/§5 stages select or reduce rows must
 //!   leave every byte of the report and its artifacts as it was.
+//! * Writer digests: every file `generate` leaves under `--out`, sorted
+//!   by relative path, each folded as its name then its bytes — the
+//!   columnar store of `generate --format columnar`, and the two CSVs of
+//!   the CSV `generate` with the checkpoint store beside them. They pin
+//!   the shard writer and the CSV writer byte for byte.
 
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use ukraine_ndt::geo::Oblast;
 use ukraine_ndt::mlab::FaultPlan;
 use ukraine_ndt::prelude::*;
-use ukraine_ndt::runner::run_report;
+use ukraine_ndt::runner::{run_report, run_store_generate, StageStatus};
 use ukraine_ndt::scenario::Scenario;
 
 /// FNV-1a over little-endian 64-bit words.
@@ -61,8 +68,8 @@ fn corpus_digest(scenario: Scenario) -> u64 {
     let cfg = SimConfig { scale: 0.02, seed: 2022, scenario, threads: 2, ..SimConfig::default() };
     let ds = Simulator::new(cfg).run();
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.word(ds.ndt.len() as u64);
-    for r in &ds.ndt {
+    h.word(ds.ndt.rows() as u64);
+    for r in (0..ds.ndt.rows()).map(|i| ds.ndt.row(i)) {
         h.word(r.day as u64);
         h.word(u64::from(r.client_ip.0));
         h.word(u64::from(r.server_ip.0));
@@ -73,8 +80,8 @@ fn corpus_digest(scenario: Scenario) -> u64 {
         h.float(r.min_rtt_ms);
         h.float(r.loss_rate);
     }
-    h.word(ds.traces.len() as u64);
-    for r in &ds.traces {
+    h.word(ds.traces.rows() as u64);
+    for r in (0..ds.traces.rows()).map(|i| ds.traces.row(i)) {
         h.word(r.day as u64);
         h.word(u64::from(r.client_ip.0));
         h.word(u64::from(r.server_ip.0));
@@ -164,4 +171,86 @@ fn asymmetric_report_matches_its_golden_digest() {
         0x5ab7_e191_b54c_7791,
         "asymmetric, none"
     );
+}
+
+/// Every file under `dir`, as paths relative to it.
+fn files_under(dir: &Path, rel: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir.join(rel)).expect("readable directory") {
+        let entry = entry.expect("directory entry");
+        let rel = rel.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            files_under(dir, &rel, out);
+        } else {
+            out.push(rel);
+        }
+    }
+}
+
+/// The digest of a directory tree: its file count, then each file's
+/// relative path and bytes, in path order.
+fn tree_digest(dir: &Path) -> u64 {
+    let mut files = Vec::new();
+    files_under(dir, Path::new(""), &mut files);
+    files.sort();
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.word(files.len() as u64);
+    for rel in &files {
+        h.bytes(rel.to_string_lossy().as_bytes());
+        h.bytes(&std::fs::read(dir.join(rel)).expect("readable file"));
+    }
+    h.0
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("ndt-golden-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
+/// The digest of the columnar store `generate --format columnar` writes
+/// at scale 0.02, seed 2022, `historical`.
+fn store_digest(faults: FaultPlan, tag: &str) -> u64 {
+    let sim = SimConfig { scale: 0.02, seed: 2022, faults, threads: 2, ..SimConfig::default() };
+    let dir = scratch_dir(tag);
+    let mut cfg = PipelineConfig::new(sim, &dir);
+    cfg.checkpoints = false;
+    let (_, records) = run_store_generate(&cfg, &dir).expect("store generates");
+    assert!(records.iter().all(|r| r.status == StageStatus::Computed), "{records:?}");
+    let digest = tree_digest(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    digest
+}
+
+/// The digest of what the CSV `generate` command leaves under `--out`
+/// at scale 0.02, seed 2022, `historical`: both CSVs and the checkpoint
+/// store in `.ukraine-ndt/`.
+fn csv_digest(faults: &str) -> u64 {
+    let dir = scratch_dir(&format!("csv-{faults}"));
+    let out = Command::new(env!("CARGO_BIN_EXE_ukraine-ndt"))
+        .args(["generate", "--scale", "0.02", "--seed", "2022", "--scenario", "historical"])
+        .args(["--faults", faults, "--out"])
+        .arg(&dir)
+        .env_remove("UKRAINE_NDT_EXIT_AFTER")
+        .env_remove("UKRAINE_NDT_PANIC_STAGE")
+        .env_remove("UKRAINE_NDT_IO_FAULTS")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let digest = tree_digest(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    digest
+}
+
+#[test]
+fn columnar_store_matches_its_golden_digest() {
+    let none = store_digest(FaultPlan::NONE, "store-none");
+    assert_eq!(none, 0x2cf8_a80a_66fc_8f37, "historical, none");
+    let moderate = store_digest(FaultPlan::MODERATE, "store-moderate");
+    assert_eq!(moderate, 0x3147_7eed_2e08_a95c, "historical, moderate");
+}
+
+#[test]
+fn csv_corpus_matches_its_golden_digest() {
+    assert_eq!(csv_digest("none"), 0x02a0_7b6d_78ad_6211, "historical, none");
+    assert_eq!(csv_digest("moderate"), 0x6f96_bea8_5b09_32f4, "historical, moderate");
 }

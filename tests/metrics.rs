@@ -266,3 +266,63 @@ fn route_cache_counters_are_process_facts_only() {
     let _ = fs::remove_dir_all(&da);
     let _ = fs::remove_dir_all(&db);
 }
+
+/// Every file under `dir`, keyed by its path relative to `dir`.
+fn tree(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    let mut todo = vec![dir.to_path_buf()];
+    while let Some(d) = todo.pop() {
+        for e in fs::read_dir(&d).expect("readable directory") {
+            let path = e.expect("dir entry").path();
+            if path.is_dir() {
+                todo.push(path);
+            } else {
+                let rel = path.strip_prefix(dir).expect("under dir").to_path_buf();
+                files.insert(rel, fs::read(&path).expect("readable file"));
+            }
+        }
+    }
+    files
+}
+
+/// Retried transient faults leave no trace in the accounting: under
+/// `--io-faults flaky`, `generate --format columnar --metrics` and
+/// `report --from-store --metrics` over its store publish the `counters`
+/// and `gauges` a clean run publishes, and the two stores hold the same
+/// files, byte for byte.
+#[test]
+fn flaky_io_publishes_the_counters_and_store_of_a_clean_run() {
+    let d = tmpdir("flaky");
+    let runs: Vec<_> = ["none", "flaky"]
+        .iter()
+        .map(|plan| {
+            let store = d.join(format!("store-{plan}"));
+            let (gen_m, rep_m) = (d.join(format!("gen-{plan}.json")), d.join(format!("rep-{plan}.json")));
+            let args = ["--format", "columnar", "--io-faults", plan, "--metrics", gen_m.to_str().expect("utf8")];
+            let gen = run("generate", &store, &args, &[]);
+            assert_eq!(gen.status.code(), Some(0), "{plan}: {}", stderr(&gen));
+            let report = Command::new(env!("CARGO_BIN_EXE_ukraine-ndt"))
+                .args(["report", "--from-store"])
+                .arg(&store)
+                .args(["--io-faults", plan, "--metrics"])
+                .arg(&rep_m)
+                .env_remove("UKRAINE_NDT_EXIT_AFTER")
+                .env_remove("UKRAINE_NDT_PANIC_STAGE")
+                .output()
+                .expect("binary runs");
+            assert_eq!(report.status.code(), Some(0), "{plan}: {}", stderr(&report));
+            let gen_art = fs::read_to_string(&gen_m).expect("generate metrics written");
+            let rep_art = fs::read_to_string(&rep_m).expect("report metrics written");
+            (tree(&store), report.stdout, gen_art, rep_art)
+        })
+        .collect();
+    let (clean, flaky) = (&runs[0], &runs[1]);
+    assert!(clean.0 == flaky.0, "the flaky store differs from the clean one");
+    assert!(clean.1 == flaky.1, "the flaky report differs from the clean one");
+    for (clean_art, flaky_art, what) in [(&clean.2, &flaky.2, "generate"), (&clean.3, &flaky.3, "report")] {
+        assert!(section(clean_art, "counters").lines().count() > 2, "{what}: nothing counted");
+        assert_eq!(section(clean_art, "counters"), section(flaky_art, "counters"), "{what}");
+        assert_eq!(section(clean_art, "gauges"), section(flaky_art, "gauges"), "{what}");
+    }
+    let _ = fs::remove_dir_all(&d);
+}

@@ -398,7 +398,9 @@ fn fuzzed_manifests_degrade_or_fail_but_never_panic() {
 /// two shards whose day ranges overlap — is malformed: the load fails
 /// naming the shard (`report --from-store` exits 1) instead of ingesting
 /// those days twice and reporting different numbers. The order of the
-/// lines stays free.
+/// lines stays free: the loader ingests shards in day order, so even a
+/// manifest listing them backwards prints the in-order report, byte for
+/// byte, at any decode thread count.
 #[test]
 fn a_manifest_listing_a_day_twice_is_rejected() {
     let d = tmpdir("manifest-twice");
@@ -412,6 +414,8 @@ fn a_manifest_listing_a_day_twice_is_rejected() {
     let manifest = std::fs::read_to_string(&manifest_path).expect("manifest");
     let shard_lines: Vec<&str> = manifest.lines().filter(|l| l.starts_with("shard ")).collect();
     assert!(shard_lines.len() >= 2, "{manifest}");
+    let in_order = run_cli(&["report", "--from-store", &store_arg, "--threads", "1"]);
+    assert_eq!(in_order.status.code(), Some(0), "{}", String::from_utf8_lossy(&in_order.stderr));
 
     // The same shard twice, through the binary.
     let doubled = shard_lines[1];
@@ -440,6 +444,70 @@ fn a_manifest_listing_a_day_twice_is_rejected() {
     std::fs::write(&manifest_path, lines.join("\n") + "\n").expect("write manifest");
     let (_, records) = load_study_data(&VfsHandle::real(), &store_dir).expect("swapped lines load");
     assert!(records.is_empty(), "{records:?}");
+
+    // Every shard line in reverse order: the same report, byte for byte.
+    let reversed: Vec<&str> = manifest
+        .lines()
+        .filter(|l| !l.starts_with("shard "))
+        .chain(shard_lines.iter().rev().copied())
+        .collect();
+    std::fs::write(&manifest_path, reversed.join("\n") + "\n").expect("write manifest");
+    for threads in ["1", "4"] {
+        let report = run_cli(&["report", "--from-store", &store_arg, "--threads", threads]);
+        assert_eq!(report.status.code(), Some(0), "{}", String::from_utf8_lossy(&report.stderr));
+        assert!(report.stdout == in_order.stdout, "reversed manifest, --threads {threads}");
+    }
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+/// A shard pair copied over another stem's two files passes every
+/// checksum, but its days are not the stem's: the load quarantines it
+/// (`report --from-store` exits 3 with `store.shards_quarantined` = 1)
+/// instead of ingesting the copied days twice, and the report is the one
+/// a clean store holding only the other shards prints.
+#[test]
+fn a_shard_pair_copied_over_another_stem_is_quarantined() {
+    let d = tmpdir("copied-pair");
+    let store_dir = d.join("store");
+    let store_arg = store_dir.display().to_string();
+    let gen = run_cli(&[
+        "generate", "--format", "columnar", "--out", &store_arg, "--scale", "0.01", "--seed", "4",
+    ]);
+    assert_eq!(gen.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&gen.stderr));
+    let manifest = std::fs::read_to_string(store_dir.join(STORE_MANIFEST)).expect("manifest");
+    let stems: Vec<&str> = manifest.lines().filter_map(|l| l.strip_prefix("shard ")).collect();
+    let (source, victim) = (stems[0], stems[2]);
+
+    // The survivors, as a clean store: the victim's line and files gone.
+    let survivors = d.join("survivors");
+    std::fs::create_dir_all(&survivors).expect("mkdir");
+    for entry in std::fs::read_dir(&store_dir).expect("readdir") {
+        let name = entry.expect("entry").file_name().to_string_lossy().into_owned();
+        if !name.starts_with(victim) {
+            std::fs::copy(store_dir.join(&name), survivors.join(&name)).expect("copy");
+        }
+    }
+    let kept: String =
+        manifest.lines().filter(|l| *l != format!("shard {victim}")).map(|l| l.to_string() + "\n").collect();
+    std::fs::write(survivors.join(STORE_MANIFEST), kept).expect("write manifest");
+    let clean = run_cli(&["report", "--from-store", &survivors.display().to_string()]);
+    assert_eq!(clean.status.code(), Some(0), "{}", String::from_utf8_lossy(&clean.stderr));
+
+    for table in ["unified", "traces"] {
+        let from = store_dir.join(format!("{source}.{table}.ndts"));
+        std::fs::copy(from, store_dir.join(format!("{victim}.{table}.ndts"))).expect("copy pair");
+    }
+    let metrics = d.join("metrics.json");
+    let report =
+        run_cli(&["report", "--from-store", &store_arg, "--metrics", &metrics.display().to_string()]);
+    let stderr = String::from_utf8_lossy(&report.stderr);
+    assert_eq!(report.status.code(), Some(3), "stderr: {stderr}");
+    assert!(stderr.contains(victim) && stderr.contains("day order"), "unhelpful error: {stderr}");
+    let artifact = std::fs::read_to_string(&metrics).expect("metrics artifact");
+    assert_eq!(artifact_value(&artifact, "store.shards_quarantined"), 1, "{artifact}");
+    assert!(report.stdout == clean.stdout, "the report over the survivors differs");
+    let quarantined = std::fs::read_dir(store_dir.join(QUARANTINE_DIR)).expect("quarantine").count();
+    assert_eq!(quarantined, 2, "both files of the copied pair are quarantined");
     let _ = std::fs::remove_dir_all(&d);
 }
 
@@ -680,10 +748,10 @@ fn edited_country_digest_is_rejected_and_the_report_degrades() {
 
 /// The memory ceiling at scale 10: a cold `report --from-store` over a
 /// scale-10 store must keep the decoded-but-uningested high-water mark
-/// (the `store.peak_resident_rows` process gauge) bounded by the
-/// in-flight batch window — worker count × channel capacity × row-group
-/// size — not by the corpus. Measured: 16,384 resident vs 1,152,529
-/// unified rows.
+/// of both tables (the `store.peak_resident_rows` process gauge) bounded
+/// by the in-flight batch window — worker count × channel capacity ×
+/// row-group size — not by the corpus. Measured: 24,576 resident vs
+/// 13,606,333 rows read.
 ///
 /// `#[ignore]`: generating the scale-10 corpus takes ~25s in release and
 /// far longer in a debug test run; CI runs it explicitly with
@@ -718,14 +786,14 @@ fn scale10_vectorized_peak_resident_rows_is_bounded_by_the_batch_window() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let artifact = std::fs::read_to_string(&metrics).expect("metrics artifact");
 
-    let rows = artifact_value(&artifact, "store.unified_rows");
+    let rows = artifact_value(&artifact, "store.rows_read");
     let peak = artifact_value(&artifact, "store.peak_resident_rows");
-    assert!(rows > 1_000_000, "scale 10 must be a ~1.15M-unified-row corpus, got {rows}");
-    // Worker count is capped by the shard count (~54 pairs at scale 10);
+    assert!(rows > 10_000_000, "scale 10 must be a ~13.6M-row corpus (both tables), got {rows}");
+    // Worker count is capped by the shard count (8 pairs at scale 10);
     // with capacity-2 channels and 4096-row groups the window can never
     // hold more than a small multiple of 4096 rows per worker. 64 × 4096
-    // is ~8x the observed single-core peak and still 4.4x under the
-    // corpus — the point is O(batch window), not O(rows).
+    // is ~10x the observed peak and still ~50x under the corpus — the
+    // point is O(batch window), not O(rows).
     assert!(
         peak > 0 && peak <= 64 * 4096,
         "peak resident rows {peak} must stay within the batch window"
