@@ -8,7 +8,8 @@
 //! rows the computation saw, how many it had to drop and why, and which
 //! rendered cells rest on too few samples to trust.
 
-use crate::dataset::{Metric, Selection};
+use crate::dataset::{Metric, Selection, StudyData};
+use ndt_conflict::Period;
 
 /// Sample-size floor below which a cell is flagged, mirroring the paper's
 /// low-n daggers.
@@ -239,6 +240,22 @@ pub fn metric_samples(
     cov.drop_rows(DropReason::NonFinite, non_finite);
     cov.drop_rows(DropReason::Negative, negative);
     clean
+}
+
+/// The rows of period `p` split by oblast ([`Selection::by_oblast`]), for
+/// the per-oblast stages: every row of the period is seen, and the rows
+/// located to no oblast are dropped as [`DropReason::Unlocated`].
+pub(crate) fn oblast_slices<'a>(
+    data: &'a StudyData,
+    p: Period,
+    cov: &mut Coverage,
+) -> Vec<Selection<'a>> {
+    let all = data.period(p);
+    let slices = all.by_oblast();
+    cov.see(all.count());
+    let unlocated = all.count() - all.with_oblast().count();
+    cov.drop_rows(DropReason::Unlocated, unlocated);
+    slices
 }
 
 /// Mean of already-cleaned samples; `NaN` marks an empty cell (renderers

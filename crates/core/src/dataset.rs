@@ -67,12 +67,6 @@ impl<'t> Selection<'t> {
         self.retain(|i| col[i] == code)
     }
 
-    /// Keeps rows located to `oblast`.
-    pub fn oblast(self, oblast: Oblast) -> Self {
-        let (code, col) = (UnifiedBatch::oblast_code(oblast), &self.table.oblast);
-        self.retain(|i| col[i] == code)
-    }
-
     /// Keeps rows that carry a city label.
     pub fn with_city(self) -> Self {
         let t = self.table;
@@ -83,6 +77,21 @@ impl<'t> Selection<'t> {
     pub fn with_oblast(self) -> Self {
         let t = self.table;
         self.retain(|i| t.has_oblast(i))
+    }
+
+    /// The located rows split by oblast in one pass: one ascending
+    /// selection per oblast, at its position in [`Oblast::all`] (which is
+    /// its code, [`UnifiedBatch::oblast_code`]). Codes past the last
+    /// oblast are skipped.
+    pub fn by_oblast(&self) -> Vec<Selection<'t>> {
+        let mut out: Vec<Selection<'t>> =
+            Oblast::all().map(|_| Selection { table: self.table, rows: Vec::new() }).collect();
+        for &i in &self.rows {
+            if let Some(s) = out.get_mut(self.table.oblast[i] as usize) {
+                s.rows.push(i);
+            }
+        }
+        out
     }
 
     /// Number of rows selected.
@@ -177,11 +186,6 @@ impl StudyData {
             Some((id, _)) => self.period(p).city(id),
             None => Selection { table: &self.unified, rows: Vec::new() },
         }
-    }
-
-    /// Unified rows of one labeled region within a period.
-    pub fn oblast_period(&self, oblast: Oblast, p: Period) -> Selection<'_> {
-        self.period(p).oblast(oblast)
     }
 
     /// Indices of the trace rows within a period.
@@ -553,7 +557,7 @@ mod props {
             cuts in prop::collection::vec(0usize..160, 0..6),
             junk in arb_rows(),
             junk_at in 0usize..7,
-            needles in (0usize..6, 0usize..6),
+            needle in 0usize..6,
             range in (0i64..480, 0i64..480),
         ) {
             let data = build_unified(&rows, &cuts, Some((junk_at, &junk)));
@@ -562,11 +566,10 @@ mod props {
             prop_assert!(same_table(&data.unified, &unified_table(&rows)));
             prop_assert_eq!(&data.day_gaps, &clean.day_gaps);
 
-            // The last needles match no row: a name outside the catalogue,
-            // and an oblast outside the pool. The city oracle compares
-            // names, as the paper's queries over the table do.
-            let city_name = city_pool().get(needles.0).map_or("El Dorado", |c| c.get().name);
-            let oblast = oblast_pool().get(needles.1).copied().unwrap_or(Oblast::Kharkiv);
+            // The last needle matches no row: a name outside the catalogue.
+            // The city oracle compares names, as the paper's queries over
+            // the table do.
+            let city_name = city_pool().get(needle).map_or("El Dorado", |c| c.get().name);
             let in_period = |p: Period, r: &UnifiedDownloadRow| {
                 let (s, e) = p.day_range();
                 (s..e).contains(&r.day)
@@ -584,10 +587,16 @@ mod props {
                     data.city_period(city_name, p).rows,
                     oracle(&rows, |r| in_period(p, r) && named(r))
                 );
-                prop_assert_eq!(
-                    data.oblast_period(oblast, p).rows,
-                    oracle(&rows, |r| in_period(p, r) && r.oblast == Some(oblast))
-                );
+                // One bucket per oblast, each ascending; unlocated rows
+                // land in none.
+                let buckets = q.by_oblast();
+                prop_assert_eq!(buckets.len(), Oblast::all().count());
+                for (o, bucket) in Oblast::all().zip(&buckets) {
+                    prop_assert_eq!(
+                        &bucket.rows,
+                        &oracle(&rows, |r| in_period(p, r) && r.oblast == Some(o))
+                    );
+                }
                 prop_assert_eq!(
                     q.clone().with_city().rows,
                     oracle(&rows, |r| in_period(p, r) && r.city.is_some())

@@ -4,7 +4,7 @@
 //! The paper: "oblasts in the North and Southeast are directly correlated
 //! with worsening metrics — the same regions with active conflict."
 
-use crate::coverage::{mean_or_nan, metric_samples, Coverage, DropReason};
+use crate::coverage::{mean_or_nan, metric_samples, oblast_slices, Coverage};
 use crate::dataset::{Metric, Selection, StudyData};
 use crate::error::AnalysisError;
 use crate::render::{csv, pct};
@@ -35,16 +35,10 @@ pub struct OblastChanges {
 /// Computes the per-oblast relative changes from region-labeled rows.
 pub fn compute(data: &StudyData) -> Result<OblastChanges, AnalysisError> {
     let mut cov = Coverage::new();
-    for p in [Period::Prewar2022, Period::Wartime2022] {
-        let all = data.period(p);
-        cov.see(all.count());
-        let unlocated = all.count() - all.with_oblast().count();
-        cov.drop_rows(DropReason::Unlocated, unlocated);
-    }
+    let [pre, war] =
+        [Period::Prewar2022, Period::Wartime2022].map(|p| oblast_slices(data, p, &mut cov));
     let mut rows = Vec::new();
-    for oblast in Oblast::all() {
-        let pre = data.oblast_period(oblast, Period::Prewar2022);
-        let war = data.oblast_period(oblast, Period::Wartime2022);
+    for (oblast, (pre, war)) in Oblast::all().zip(pre.iter().zip(&war)) {
         if pre.is_empty() || war.is_empty() {
             cov.note_sample(oblast.name(), pre.count().min(war.count()));
             continue;
@@ -57,9 +51,9 @@ pub fn compute(data: &StudyData) -> Result<OblastChanges, AnalysisError> {
             oblast,
             front: oblast.front(),
             d_tests: rel(pre.count() as f64, war.count() as f64),
-            d_min_rtt: rel(m(&pre, Metric::MinRtt, &mut cov), m(&war, Metric::MinRtt, &mut cov)),
-            d_tput: rel(m(&pre, Metric::Tput, &mut cov), m(&war, Metric::Tput, &mut cov)),
-            d_loss: rel(m(&pre, Metric::Loss, &mut cov), m(&war, Metric::Loss, &mut cov)),
+            d_min_rtt: rel(m(pre, Metric::MinRtt, &mut cov), m(war, Metric::MinRtt, &mut cov)),
+            d_tput: rel(m(pre, Metric::Tput, &mut cov), m(war, Metric::Tput, &mut cov)),
+            d_loss: rel(m(pre, Metric::Loss, &mut cov), m(war, Metric::Loss, &mut cov)),
         };
         // A region whose every metric value in a period was corrupt cannot
         // report a change; flag it instead of emitting NaN panels.

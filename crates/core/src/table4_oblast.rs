@@ -1,7 +1,7 @@
 //! Table 4: raw values for region/oblast-level metrics, prewar and wartime.
 
-use crate::coverage::{mean_or_nan, metric_samples, num_cell, Coverage, DropReason};
-use crate::dataset::{Metric, StudyData};
+use crate::coverage::{mean_or_nan, metric_samples, num_cell, oblast_slices, Coverage};
+use crate::dataset::{Metric, Selection, StudyData};
 use crate::error::AnalysisError;
 use crate::render::text_table;
 use ndt_conflict::Period;
@@ -37,17 +37,12 @@ pub struct OblastTable {
 /// count (the paper's ordering).
 pub fn compute(data: &StudyData) -> Result<OblastTable, AnalysisError> {
     let mut cov = Coverage::new();
-    for p in [Period::Prewar2022, Period::Wartime2022] {
-        let all = data.period(p);
-        cov.see(all.count());
-        let unlocated = all.count() - all.with_oblast().count();
-        cov.drop_rows(DropReason::Unlocated, unlocated);
-    }
-    let cell = |oblast: Oblast, p: Period, tag: &str, cov: &mut Coverage| -> OblastCell {
-        let q = data.oblast_period(oblast, p);
-        let tput = metric_samples(&q, Metric::Tput, true, cov);
-        let rtt = metric_samples(&q, Metric::MinRtt, true, cov);
-        let loss = metric_samples(&q, Metric::Loss, true, cov);
+    let [pre, war] =
+        [Period::Prewar2022, Period::Wartime2022].map(|p| oblast_slices(data, p, &mut cov));
+    let cell = |oblast: Oblast, q: &Selection<'_>, tag: &str, cov: &mut Coverage| -> OblastCell {
+        let tput = metric_samples(q, Metric::Tput, true, cov);
+        let rtt = metric_samples(q, Metric::MinRtt, true, cov);
+        let loss = metric_samples(q, Metric::Loss, true, cov);
         cov.note_sample(format!("{}/{}", oblast.name(), tag), tput.len().min(rtt.len()).min(loss.len()));
         OblastCell {
             tput_mbps: mean_or_nan(&tput),
@@ -57,9 +52,9 @@ pub fn compute(data: &StudyData) -> Result<OblastTable, AnalysisError> {
         }
     };
     let mut rows = Vec::new();
-    for o in Oblast::all() {
-        let prewar = cell(o, Period::Prewar2022, "pre", &mut cov);
-        let wartime = cell(o, Period::Wartime2022, "war", &mut cov);
+    for (o, (pre, war)) in Oblast::all().zip(pre.iter().zip(&war)) {
+        let prewar = cell(o, pre, "pre", &mut cov);
+        let wartime = cell(o, war, "war", &mut cov);
         if prewar.tests > 0 || wartime.tests > 0 {
             rows.push(OblastRow { oblast: o, prewar, wartime });
         }

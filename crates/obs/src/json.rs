@@ -163,34 +163,6 @@ pub fn zero_wall_times(artifact: &str) -> String {
     out
 }
 
-/// Extracts the pipeline-stage spans (`stage.*`) from an artifact into a
-/// minimal benchmark snapshot — the seed of `BENCH_stage_times.json`.
-/// Returns a JSON document keyed by span name with `count` and `wall_ms`.
-pub fn extract_bench(artifact: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"format\": \"ndt-bench-stage-times-v1\",\n");
-    out.push_str("  \"stages\": [\n");
-    let mut first = true;
-    for line in artifact.lines() {
-        let line = line.trim_start();
-        if line.starts_with("{\"name\": \"stage.") {
-            let entry = line.trim_end_matches(',');
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!("    {entry}"));
-        }
-    }
-    if !first {
-        out.push('\n');
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,22 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn extract_bench_takes_only_stage_spans() {
-        let doc = sample();
-        let bench = extract_bench(&doc);
-        assert!(bench.contains("stage.corpus"));
-        assert!(bench.contains("ndt-bench-stage-times-v1"));
-        // Non-stage spans and counters are excluded.
-        assert!(!bench.contains("sim.tests"));
-    }
-
-    #[test]
     fn empty_registry_renders_valid_shape() {
         let empty = BTreeMap::new();
         let spans: BTreeMap<String, SpanLine> = BTreeMap::new();
         let doc = render(&empty, &empty, &empty, &spans, &[], 0);
         assert!(doc.contains("\"counters\": {"));
         assert!(doc.contains("\"events_dropped\": 0"));
-        assert_eq!(extract_bench(&doc).matches("stage.").count(), 0);
     }
 }

@@ -31,8 +31,7 @@
 //! * **The artifact** ([`render_json`]) — a JSON document with fixed key
 //!   order and sorted entries, written through the runner's atomic writer
 //!   by the CLI's `--metrics` flag. [`zero_wall_times`] blanks every
-//!   duration field so CI can byte-diff two runs; [`extract_bench`]
-//!   derives the `BENCH_stage_times.json` snapshot from it.
+//!   duration field so CI can byte-diff two runs.
 //!
 //! Disabled mode (`--metrics` absent) is the default: spans skip the
 //! clock entirely, events skip the buffer, and nothing is ever written —
@@ -44,7 +43,7 @@ mod registry;
 mod span;
 
 pub use event::{log, set_verbosity, verbosity, Level};
-pub use json::{extract_bench, zero_wall_times};
+pub use json::zero_wall_times;
 pub use registry::{
     capture, global, incr, incr_process, process_counter, render_json, reset, set_gauge,
     set_process, set_process_max, Registry, SpanStat, Tally,

@@ -145,17 +145,16 @@ fn parse_tally(text: &str, key: u64) -> Option<Tally> {
 }
 
 /// Atomically writes the counters sidecar of saved unit `unit` (a shard
-/// stem, or `country-b`) in `dir`, bound to `key`.
+/// stem, or `country-b`) in `dir`, bound to `key`, retrying transient I/O.
 pub(crate) fn write_tally(
     vfs: &VfsHandle,
-    retry: &RetryPolicy,
     dir: &Path,
     unit: &str,
     key: u64,
     tally: &Tally,
 ) -> std::io::Result<()> {
     let text = tally_text(key, tally);
-    retry_io(retry, || {
+    retry_io(&RetryPolicy::DEFAULT, || {
         crate::atomic::write_atomic_with(vfs, tally_path(dir, unit), text.as_bytes())
     })
 }
@@ -352,7 +351,7 @@ mod tests {
         let mut tally = Tally::default();
         tally.incr("sim.tests", 7);
         assert_eq!(read_tally(&vfs, &d, "shard-x", 1), None, "missing sidecar");
-        write_tally(&vfs, &RetryPolicy::NONE, &d, "shard-x", 1, &tally).expect("write");
+        write_tally(&vfs, &d, "shard-x", 1, &tally).expect("write");
         assert_eq!(read_tally(&vfs, &d, "shard-x", 1), Some(tally));
         assert_eq!(read_tally(&vfs, &d, "shard-x", 2), None, "another unit's sidecar");
         let _ = std::fs::remove_dir_all(&d);

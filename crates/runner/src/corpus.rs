@@ -68,7 +68,6 @@ pub const CORPUS_SHARD_DAYS: i64 = 27;
 pub(crate) struct UnitStore {
     pub(crate) dir: PathBuf,
     pub(crate) vfs: VfsHandle,
-    pub(crate) retry: RetryPolicy,
     /// [`config_fingerprint`] of the run's corpus.
     pub(crate) fingerprint: u64,
     /// Read back units that validate instead of recomputing them.
@@ -85,8 +84,7 @@ impl UnitStore {
     /// killed predecessor may have left in it. A checkpoint store also
     /// drops every other config's shards, so it holds one config at most.
     pub(crate) fn open(cfg: &PipelineConfig, dir: PathBuf, output: bool) -> io::Result<Self> {
-        let retry = cfg.exec.retry;
-        retry_io(&retry, || cfg.vfs.create_dir_all(&dir))?;
+        retry_io(&RetryPolicy::DEFAULT, || cfg.vfs.create_dir_all(&dir))?;
         if let Ok(swept) = sweep_orphan_temps(&cfg.vfs, &dir) {
             if swept > 0 {
                 ndt_obs::incr_process("tmp_swept", swept as u64);
@@ -94,7 +92,7 @@ impl UnitStore {
         }
         let fingerprint = config_fingerprint(&cfg.sim);
         let store =
-            UnitStore { dir, vfs: cfg.vfs.clone(), retry, fingerprint, resume: cfg.resume, output };
+            UnitStore { dir, vfs: cfg.vfs.clone(), fingerprint, resume: cfg.resume, output };
         if !output {
             store.sweep_other_configs();
         }
@@ -390,7 +388,7 @@ fn save_shard(
 ) -> io::Result<WriteStats> {
     let stats = write_shard_files(store, stem, rows)?;
     tally.merge(&write_stats_tally(&stats));
-    write_tally(&store.vfs, &store.retry, &store.dir, stem, store.fingerprint, tally)?;
+    write_tally(&store.vfs, &store.dir, stem, store.fingerprint, tally)?;
     Ok(stats)
 }
 

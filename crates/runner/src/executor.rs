@@ -1,23 +1,21 @@
 //! Panic- and deadline-isolated stage execution.
 //!
 //! Every stage body runs on its own worker thread under `catch_unwind`,
-//! and the caller waits on a channel with a wall-clock deadline. A panic
-//! or a hang therefore becomes a [`StageError`] for *that stage* — the
-//! pipeline records it and moves on, exactly as PR 1's coverage machinery
-//! turns broken rows into footnotes rather than aborts.
+//! and the caller waits on a channel with a wall-clock deadline. A panic,
+//! a hang or a fault the body reports itself therefore becomes a
+//! [`StageError`] for *that stage* — the pipeline records it and moves on,
+//! as the coverage machinery turns broken rows into footnotes rather than
+//! aborts. A body runs once: a panic is a bug, a hang already cost the
+//! full deadline, and the faults stages report are permanent. Transient
+//! I/O is retried inside the saves ([`crate::retry`]), not here.
 //!
-//! Faults a stage reports itself ([`StageFault`]) can be flagged
-//! transient, in which case the whole body is re-run under the executor's
-//! [`RetryPolicy`]. Panics and deadline overruns are never retried: a
-//! panic is a bug and a hang already cost the full deadline.
-//!
-//! Abandonment is cooperative: each attempt gets a [`CancelToken`], and
-//! when the deadline fires the executor cancels it *before* detaching the
+//! Abandonment is cooperative: each body gets a [`CancelToken`], and when
+//! the deadline fires the executor cancels it *before* detaching the
 //! worker. A body must check [`CancelToken::is_cancelled`] before
 //! committing any externally visible write (an atomic artifact, a
-//! checkpoint), so an abandoned attempt can never race the retry or the
-//! next resume. A worker that finishes after abandonment discards its
-//! value and bumps the `exec.late_completions` process counter instead.
+//! checkpoint), so an abandoned body can never race the next resume. A
+//! worker that finishes after abandonment discards its value and bumps
+//! the `exec.late_completions` process counter instead.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,15 +23,13 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::retry::RetryPolicy;
-
-/// Cooperative cancellation for one stage attempt.
+/// Cooperative cancellation for one stage body.
 ///
-/// The executor cancels the token when the attempt's deadline passes;
-/// the (now detached) worker thread is expected to notice and stand
-/// down. Stage bodies must consult [`CancelToken::is_cancelled`] before
-/// any externally visible write, because after abandonment a retry or a
-/// resumed process may already be producing the same artifact.
+/// The executor cancels the token when the body's deadline passes; the
+/// (now detached) worker thread is expected to notice and stand down.
+/// Stage bodies must consult [`CancelToken::is_cancelled`] before any
+/// externally visible write, because after abandonment a resumed process
+/// may already be producing the same artifact.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -43,13 +39,13 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Marks the attempt as abandoned.
+    /// Marks the body as abandoned.
     pub fn cancel(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the attempt has been abandoned. Check this before
-    /// committing any write.
+    /// Whether the body has been abandoned. Check this before committing
+    /// any write.
     pub fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::SeqCst)
     }
@@ -58,45 +54,15 @@ impl CancelToken {
 /// Execution limits applied to each stage body.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecPolicy {
-    /// Wall-clock budget per attempt. A stage still running at the
-    /// deadline is abandoned (its thread is detached) and reported as
+    /// Wall-clock budget per stage. A stage still running at the deadline
+    /// is abandoned (its thread is detached) and reported as
     /// [`StageError::DeadlineExceeded`].
     pub deadline: Duration,
-    /// Retry schedule for faults the stage flags as transient.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ExecPolicy {
     fn default() -> Self {
-        ExecPolicy { deadline: Duration::from_secs(300), retry: RetryPolicy::DEFAULT }
-    }
-}
-
-/// A failure reported by a stage body itself (as opposed to a panic or
-/// timeout detected by the executor).
-#[derive(Debug, Clone)]
-pub struct StageFault {
-    /// Human-readable cause, surfaced in the run report.
-    pub message: String,
-    /// Whether re-running the body may plausibly succeed.
-    pub transient: bool,
-}
-
-impl StageFault {
-    /// A fault that will not heal by itself; fails the stage immediately.
-    pub fn permanent(message: impl Into<String>) -> Self {
-        StageFault { message: message.into(), transient: false }
-    }
-
-    /// A fault worth retrying under the executor's [`RetryPolicy`].
-    pub fn transient(message: impl Into<String>) -> Self {
-        StageFault { message: message.into(), transient: true }
-    }
-}
-
-impl From<std::io::Error> for StageFault {
-    fn from(e: std::io::Error) -> Self {
-        StageFault { message: e.to_string(), transient: crate::retry::is_transient(&e) }
+        ExecPolicy { deadline: Duration::from_secs(300) }
     }
 }
 
@@ -107,7 +73,7 @@ pub enum StageError {
     Panicked(String),
     /// The body exceeded the wall-clock deadline and was abandoned.
     DeadlineExceeded(Duration),
-    /// The body returned a [`StageFault`] (after retries, if transient).
+    /// The body returned an error, or the stage could not run.
     Failed(String),
 }
 
@@ -135,78 +101,61 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `body` on a dedicated thread under `catch_unwind`, bounded by
-/// `policy.deadline` wall-clock time per attempt. Transient
-/// [`StageFault`]s are retried per `policy.retry`; panics and deadline
-/// overruns fail immediately.
+/// Runs `body` once on a dedicated thread under `catch_unwind`, bounded by
+/// `deadline` wall-clock time. An error the body returns fails the stage
+/// with its message, as do a panic and an overrun.
 ///
 /// `label` names the worker thread (visible in panic backtraces and
 /// debuggers). The body must be `'static`: on timeout the worker thread
 /// is abandoned, so it cannot borrow from the caller's stack. The body
-/// receives the attempt's [`CancelToken`]; it must check the token
-/// before committing any externally visible write.
+/// receives the stage's [`CancelToken`]; it must check the token before
+/// committing any externally visible write.
 pub fn run_isolated<T: Send + 'static>(
     label: &str,
-    policy: &ExecPolicy,
-    body: impl Fn(&CancelToken) -> Result<T, StageFault> + Send + Sync + 'static,
+    deadline: Duration,
+    body: impl FnOnce(&CancelToken) -> Result<T, String> + Send + 'static,
 ) -> Result<T, StageError> {
-    let body = Arc::new(body);
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        ndt_obs::incr_process("exec.attempts", 1);
-        let token = CancelToken::new();
-        let (tx, rx) = mpsc::channel();
-        let task = Arc::clone(&body);
-        let worker_token = token.clone();
-        let worker = std::thread::Builder::new()
-            .name(format!("stage-{label}"))
-            .spawn(move || {
-                // A panic crosses back as Err(payload); the hook in the
-                // harness still prints it, which is fine — the *process*
-                // must survive, not the log.
-                let out = catch_unwind(AssertUnwindSafe(|| task(&worker_token)));
-                if worker_token.is_cancelled() {
-                    // The executor already gave up on this attempt: the
-                    // value has nowhere to go, and committing it now
-                    // would race a retry or a resume. Count and discard.
-                    ndt_obs::incr_process("exec.late_completions", 1);
-                    return;
-                }
-                let _ = tx.send(out);
-            })
-            .map_err(|e| StageError::Failed(format!("could not spawn stage thread: {e}")))?;
-        match rx.recv_timeout(policy.deadline) {
-            Ok(Ok(Ok(value))) => {
-                let _ = worker.join();
-                return Ok(value);
+    ndt_obs::incr_process("exec.attempts", 1);
+    let token = CancelToken::new();
+    let (tx, rx) = mpsc::channel();
+    let worker_token = token.clone();
+    let worker = std::thread::Builder::new()
+        .name(format!("stage-{label}"))
+        .spawn(move || {
+            // A panic crosses back as Err(payload); the hook in the
+            // harness still prints it, which is fine — the *process*
+            // must survive, not the log.
+            let out = catch_unwind(AssertUnwindSafe(|| body(&worker_token)));
+            if worker_token.is_cancelled() {
+                // The executor already gave up on this body: the value
+                // has nowhere to go, and committing it now would race a
+                // resume. Count and discard.
+                ndt_obs::incr_process("exec.late_completions", 1);
+                return;
             }
-            Ok(Ok(Err(fault))) => {
-                let _ = worker.join();
-                if fault.transient && attempt < policy.retry.max_attempts {
-                    ndt_obs::incr_process("exec.retries", 1);
-                    std::thread::sleep(policy.retry.backoff(attempt));
-                    continue;
-                }
-                ndt_obs::incr_process("exec.faults", 1);
-                return Err(StageError::Failed(fault.message));
-            }
-            Ok(Err(payload)) => {
-                let _ = worker.join();
-                ndt_obs::incr_process("exec.panics_contained", 1);
-                return Err(StageError::Panicked(panic_message(payload)));
-            }
-            Err(_) => {
-                // Deadline passed: cancel first, so the still-running
-                // body sees the abandonment before its next commit
-                // point, then detach the worker (it holds only an Arc
-                // of the body and a dead channel sender, so leaking it
-                // is safe) and fail the stage.
-                token.cancel();
-                ndt_obs::incr_process("exec.deadline_exceeded", 1);
-                drop(worker);
-                return Err(StageError::DeadlineExceeded(policy.deadline));
-            }
+            let _ = tx.send(out);
+        })
+        .map_err(|e| StageError::Failed(format!("could not spawn stage thread: {e}")))?;
+    let Ok(out) = rx.recv_timeout(deadline) else {
+        // Deadline passed: cancel first, so the still-running body sees
+        // the abandonment before its next commit point, then detach the
+        // worker (it holds only the body and a dead channel sender, so
+        // leaking it is safe) and fail the stage.
+        token.cancel();
+        ndt_obs::incr_process("exec.deadline_exceeded", 1);
+        drop(worker);
+        return Err(StageError::DeadlineExceeded(deadline));
+    };
+    let _ = worker.join();
+    match out {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(message)) => {
+            ndt_obs::incr_process("exec.faults", 1);
+            Err(StageError::Failed(message))
+        }
+        Err(payload) => {
+            ndt_obs::incr_process("exec.panics_contained", 1);
+            Err(StageError::Panicked(panic_message(payload)))
         }
     }
 }
@@ -216,26 +165,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn fast_policy() -> ExecPolicy {
-        ExecPolicy {
-            deadline: Duration::from_secs(10),
-            retry: RetryPolicy {
-                max_attempts: 3,
-                initial_backoff: Duration::from_millis(1),
-                jitter_seed: 0,
-            },
-        }
-    }
+    const DEADLINE: Duration = Duration::from_secs(10);
 
     #[test]
     fn returns_the_stage_value() {
-        let out = run_isolated("ok", &fast_policy(), |_| Ok::<_, StageFault>(41 + 1));
+        let out = run_isolated("ok", DEADLINE, |_| Ok::<_, String>(41 + 1));
         assert_eq!(out.expect("succeeds"), 42);
     }
 
     #[test]
     fn a_panicking_stage_is_contained() {
-        let out = run_isolated("boom", &fast_policy(), |_| -> Result<(), StageFault> {
+        let out = run_isolated("boom", DEADLINE, |_| -> Result<(), String> {
             panic!("injected failure in stage body")
         });
         match out.expect_err("panics become errors") {
@@ -246,8 +186,8 @@ mod tests {
 
     #[test]
     fn a_hung_stage_hits_the_deadline() {
-        let policy = ExecPolicy { deadline: Duration::from_millis(50), ..fast_policy() };
-        let out = run_isolated("hang", &policy, |cancel| -> Result<(), StageFault> {
+        let deadline = Duration::from_millis(50);
+        let out = run_isolated("hang", deadline, |cancel| -> Result<(), String> {
             // Cooperative hang: spin until abandoned, so the detached
             // worker exits promptly instead of outliving the test.
             while !cancel.is_cancelled() {
@@ -255,19 +195,15 @@ mod tests {
             }
             Ok(())
         });
-        assert_eq!(
-            out.expect_err("hang detected"),
-            StageError::DeadlineExceeded(Duration::from_millis(50))
-        );
+        assert_eq!(out.expect_err("hang detected"), StageError::DeadlineExceeded(deadline));
     }
 
     #[test]
     fn an_abandoned_worker_is_cancelled_and_counted() {
         let before = ndt_obs::global().process_counter("exec.late_completions");
-        let policy = ExecPolicy { deadline: Duration::from_millis(50), ..fast_policy() };
-        let out = run_isolated("late", &policy, |cancel| -> Result<u32, StageFault> {
+        let out = run_isolated("late", Duration::from_millis(50), |cancel| -> Result<u32, String> {
             std::thread::sleep(Duration::from_millis(200));
-            // The commit-point discipline: a cancelled attempt must not
+            // The commit-point discipline: a cancelled body must not
             // write. Here the "write" is returning a value at all.
             assert!(cancel.is_cancelled(), "deadline fired long before the sleep ended");
             Ok(7)
@@ -290,31 +226,20 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_are_retried_but_permanent_are_not() {
-        static TRANSIENT_CALLS: AtomicU32 = AtomicU32::new(0);
-        let out = run_isolated("flaky", &fast_policy(), |_| {
-            if TRANSIENT_CALLS.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err(StageFault::transient("blip"))
-            } else {
-                Ok("recovered")
-            }
-        });
-        assert_eq!(out.expect("third attempt wins"), "recovered");
-        assert_eq!(TRANSIENT_CALLS.load(Ordering::SeqCst), 3);
-
-        static PERMANENT_CALLS: AtomicU32 = AtomicU32::new(0);
-        let out = run_isolated("broken", &fast_policy(), |_| -> Result<(), StageFault> {
-            PERMANENT_CALLS.fetch_add(1, Ordering::SeqCst);
-            Err(StageFault::permanent("bad input"))
+    fn a_failing_body_runs_once() {
+        static CALLS: AtomicU32 = AtomicU32::new(0);
+        let out = run_isolated("broken", DEADLINE, |_| -> Result<(), String> {
+            CALLS.fetch_add(1, Ordering::SeqCst);
+            Err("bad input".to_string())
         });
         assert_eq!(out.expect_err("fails"), StageError::Failed("bad input".to_string()));
-        assert_eq!(PERMANENT_CALLS.load(Ordering::SeqCst), 1, "no retry for permanent faults");
+        assert_eq!(CALLS.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn panics_are_not_retried() {
         static CALLS: AtomicU32 = AtomicU32::new(0);
-        let out = run_isolated("panic-once", &fast_policy(), |_| -> Result<(), StageFault> {
+        let out = run_isolated("panic-once", DEADLINE, |_| -> Result<(), String> {
             CALLS.fetch_add(1, Ordering::SeqCst);
             panic!("should not be retried")
         });

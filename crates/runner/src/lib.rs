@@ -71,7 +71,7 @@ pub use atomic::{
 };
 pub use checkpoint::{config_fingerprint, CHECKPOINT_DIR};
 pub use corpus::CORPUS_SHARD_DAYS;
-pub use executor::{run_isolated, CancelToken, ExecPolicy, StageError, StageFault};
+pub use executor::{run_isolated, CancelToken, ExecPolicy, StageError};
 pub use pipeline::{
     run_export, run_generate, run_report, PipelineConfig, PipelineOutcome, StageRecord,
     StageStatus,

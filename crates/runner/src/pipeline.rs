@@ -5,12 +5,12 @@
 //! stage runs through [`crate::executor::run_isolated`] (panic +
 //! deadline isolation). Every stage and shard body runs under
 //! [`ndt_obs::capture`]: its counters are published only once its value
-//! is committed, so a failed, retried or abandoned attempt never
-//! miscounts. With checkpoints on, corpus shards and the second
-//! country's digest are saved to the store at `<out>/.ukraine-ndt/` as
-//! they complete, and `--resume` reads back every unit that validates —
-//! per-(client, day) RNG streams make the resumed run bit-for-bit
-//! identical to an uninterrupted one.
+//! is committed, so a failed or abandoned body never miscounts. With
+//! checkpoints on, corpus shards and the second country's digest are
+//! saved to the store at `<out>/.ukraine-ndt/` as they complete, and
+//! `--resume` reads back every unit that validates — per-(client, day)
+//! RNG streams make the resumed run bit-for-bit identical to an
+//! uninterrupted one.
 //!
 //! `report` and `export` ingest each shard into one `StudyData`;
 //! [`run_generate`] hands each shard to its caller's sink (CSV
@@ -37,8 +37,8 @@ use ndt_vfs::VfsHandle;
 
 use crate::checkpoint::{content_key, read_tally, write_tally, CHECKPOINT_DIR};
 use crate::corpus::{run_shards, PoolPlan, ShardDone, UnitStore, CORPUS_SHARD_DAYS};
-use crate::executor::{run_isolated, CancelToken, ExecPolicy, StageError, StageFault};
-use crate::retry::retry_io;
+use crate::executor::{run_isolated, CancelToken, ExecPolicy, StageError};
+use crate::retry::{retry_io, RetryPolicy};
 use crate::store::{write_manifest, COUNTRY_DIGEST_FILE, STORE_MANIFEST};
 
 /// How one run of the pipeline should behave.
@@ -53,8 +53,7 @@ pub struct PipelineConfig {
     pub checkpoints: bool,
     /// Read back saved units that validate instead of recomputing them.
     pub resume: bool,
-    /// Execution limits of the non-corpus stages, and the I/O retry
-    /// policy of every save.
+    /// Execution limits of the non-corpus stages.
     pub exec: ExecPolicy,
     /// Filesystem the run's checkpoints, artifacts and store traffic go
     /// through. [`VfsHandle::real`] in production; a fault-injecting
@@ -185,12 +184,12 @@ impl Pipeline {
     /// Runs one stage body isolated, under [`ndt_obs::capture`], and
     /// returns its value with the counters it recorded — unpublished until
     /// [`Pipeline::commit`]. `None` means the stage failed (and is
-    /// recorded); the pipeline continues. The attempt, retries included,
-    /// runs under a `stage.<name>` span.
+    /// recorded); the pipeline continues. The body runs under a
+    /// `stage.<name>` span.
     fn stage<T: Send + 'static>(
         &mut self,
         name: &str,
-        body: impl Fn(&CancelToken) -> Result<T, StageFault> + Send + Sync + 'static,
+        body: impl FnOnce(&CancelToken) -> Result<T, String> + Send + 'static,
     ) -> Option<(T, Tally)> {
         let hook = name.to_string();
         let wrapped = move |cancel: &CancelToken| {
@@ -199,7 +198,7 @@ impl Pipeline {
             value.map(|v| (v, tally))
         };
         let span = ndt_obs::span(&format!("stage.{name}"));
-        let outcome = run_isolated(name, &self.exec, wrapped);
+        let outcome = run_isolated(name, self.exec.deadline, wrapped);
         drop(span);
         outcome.map_err(|err| self.fail(name, err)).ok()
     }
@@ -274,16 +273,16 @@ impl Pipeline {
         let cfg = *sim;
         let (digest, tally) = self.stage(NAME, move |_cancel| {
             ndt_analysis::second_country_digest(&cfg)
-                .map_err(|e| StageFault::permanent(e.to_string()))?
-                .ok_or_else(|| StageFault::permanent("scenario lost its second country"))
+                .map_err(|e| e.to_string())?
+                .ok_or_else(|| "scenario lost its second country".to_string())
         })?;
         if let Some(store) = &self.store {
             let (path, text) = (store.dir.join(COUNTRY_DIGEST_FILE), digest.to_text());
             let key = content_key(store.fingerprint, text.as_bytes());
-            let saved = retry_io(&store.retry, || {
+            let saved = retry_io(&RetryPolicy::DEFAULT, || {
                 crate::atomic::write_atomic_with(&store.vfs, &path, text.as_bytes())
             })
-            .and_then(|()| write_tally(&store.vfs, &store.retry, &store.dir, NAME, key, &tally));
+            .and_then(|()| write_tally(&store.vfs, &store.dir, NAME, key, &tally));
             match store.settle(NAME, saved) {
                 Ok(saved) => {
                     ndt_obs::incr_process("store.digest_written", u64::from(saved));
@@ -327,7 +326,7 @@ impl Pipeline {
             let name = spec.name;
             let data = Arc::clone(&data);
             let out = self.stage(name, move |_cancel| {
-                run_analysis_stage(name, &data).map_err(|e| StageFault::permanent(e.to_string()))
+                run_analysis_stage(name, &data).map_err(|e| e.to_string())
             });
             if let Some((o, tally)) = out {
                 self.commit(name, &tally);
@@ -591,6 +590,46 @@ mod tests {
         );
         assert_eq!(resumed.expect("complete corpus"), clean.expect("complete corpus"));
         let _ = fs::remove_dir_all(&d);
+    }
+
+    /// A stage abandoned at its deadline publishes none of the counters its
+    /// body recorded, even after the detached body has run to its end.
+    #[test]
+    fn a_stage_abandoned_at_its_deadline_lands_no_counters() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        const COUNTER: &str = "test.pipeline.abandoned_stage_body";
+        let deadline = Duration::from_millis(50);
+        let late_before = ndt_obs::process_counter("exec.late_completions");
+        let finished = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&finished);
+        let mut p = Pipeline::in_memory(ExecPolicy { deadline });
+        let out = p.stage("abandoned", move |cancel| {
+            ndt_obs::incr(COUNTER, 1);
+            while !cancel.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            flag.store(true, Ordering::SeqCst);
+            Ok(())
+        });
+        assert!(out.is_none());
+        assert_eq!(
+            p.records,
+            vec![StageRecord {
+                name: "abandoned".to_string(),
+                status: StageStatus::Failed(StageError::DeadlineExceeded(deadline)),
+            }]
+        );
+        // Wait for the body to finish and its worker to discard the value.
+        let until = Instant::now() + Duration::from_secs(5);
+        while !finished.load(Ordering::SeqCst)
+            || ndt_obs::process_counter("exec.late_completions") == late_before
+        {
+            assert!(Instant::now() < until, "the abandoned body never finished");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let leaked = ndt_obs::global().counter(COUNTER);
+        assert_eq!(leaked, 0, "an abandoned stage counted");
     }
 
     #[test]

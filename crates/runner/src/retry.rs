@@ -47,17 +47,10 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The pipeline default: 3 attempts, 50 ms initial backoff.
+    /// The policy of every save: 3 attempts, 50 ms initial backoff.
     pub const DEFAULT: RetryPolicy = RetryPolicy {
         max_attempts: 3,
         initial_backoff: Duration::from_millis(50),
-        jitter_seed: 0,
-    };
-
-    /// No retries at all (tests, or callers that handle their own).
-    pub const NONE: RetryPolicy = RetryPolicy {
-        max_attempts: 1,
-        initial_backoff: Duration::ZERO,
         jitter_seed: 0,
     };
 
@@ -89,12 +82,6 @@ impl RetryPolicy {
             prev = (base + span.mul_f64(unit)).min(BACKOFF_CAP);
         }
         prev
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::DEFAULT
     }
 }
 
@@ -187,7 +174,7 @@ mod tests {
         // jitter still escalates — the upper bound triples each step).
         assert!(p.backoff(15) > p.backoff(1), "no escalation at all");
         assert_eq!(
-            RetryPolicy::NONE.backoff(3),
+            RetryPolicy { initial_backoff: Duration::ZERO, ..p }.backoff(3),
             Duration::ZERO,
             "zero base stays zero (no accidental sleeps)"
         );

@@ -45,7 +45,7 @@ use crate::checkpoint::config_fingerprint;
 use crate::corpus::{UnitStore, CORPUS_SHARD_DAYS};
 use crate::executor::{ExecPolicy, StageError};
 use crate::pipeline::{Pipeline, PipelineConfig, PipelineOutcome, StageRecord, StageStatus};
-use crate::retry::retry_io;
+use crate::retry::{retry_io, RetryPolicy};
 
 /// Manifest file name inside a store directory.
 pub const STORE_MANIFEST: &str = "STORE.txt";
@@ -162,7 +162,7 @@ pub(crate) fn write_shard_files(
     part: &Dataset,
 ) -> io::Result<WriteStats> {
     let _span = ndt_obs::span("store.write");
-    let retry = store.retry.with_jitter_key(wire::fnv1a64(stem.as_bytes()));
+    let retry = RetryPolicy::DEFAULT.with_jitter_key(wire::fnv1a64(stem.as_bytes()));
     retry_io(&retry, || {
         // Retry the whole pair: a failed attempt's temporaries are
         // discarded by AtomicFile, so re-running from scratch is
@@ -193,7 +193,7 @@ pub(crate) fn write_manifest(store: &UnitStore, sim: &SimConfig) -> io::Result<(
     }
     let path = store.dir.join(STORE_MANIFEST);
     let write = || crate::atomic::write_atomic_with(&store.vfs, &path, manifest.as_bytes());
-    retry_io(&store.retry, write)
+    retry_io(&RetryPolicy::DEFAULT, write)
 }
 
 /// A parsed store manifest: shard stems (in day order) plus any auxiliary
@@ -348,7 +348,7 @@ fn quarantine_shard(vfs: &VfsHandle, store_dir: &Path, stem: &str) {
     for name in [unified_name(stem), traces_name(stem)] {
         let from = store_dir.join(&name);
         if vfs.exists(&from) {
-            let _ = rename_reliable(vfs, &from, &qdir.join(&name), &crate::RetryPolicy::DEFAULT);
+            let _ = rename_reliable(vfs, &from, &qdir.join(&name), &RetryPolicy::DEFAULT);
         }
     }
 }
@@ -401,9 +401,10 @@ struct LoadMetrics {
     unified_rows: u64,
     /// All rows ingested, traces included.
     rows_total: u64,
-    /// Microseconds spent scanning/decoding the unified shards.
+    /// Microseconds spent decoding both tables' shards, less the time
+    /// the decoders waited on a full channel.
     scan_us: u64,
-    /// Microseconds spent ingesting unified data into the table.
+    /// Microseconds spent appending both tables' batches.
     ingest_us: u64,
 }
 
@@ -420,8 +421,8 @@ impl LoadMetrics {
             );
         }
         ndt_obs::incr_process("store.unified_rows", self.unified_rows);
-        ndt_obs::incr_process("store.unified_scan_us", self.scan_us);
-        ndt_obs::incr_process("store.unified_ingest_us", self.ingest_us);
+        ndt_obs::incr_process("store.scan_us", self.scan_us);
+        ndt_obs::incr_process("store.ingest_us", self.ingest_us);
     }
 }
 
@@ -521,12 +522,12 @@ fn decode_pair(
             .map_err(|e| e.into_io())?;
         let ustats = scan_unified_batches(&unified, RowFilter, |b| send(b.rows(), PairMsg::Unified(b)))
             .map_err(|e| e.into_io())?;
-        let scanning = started.elapsed().saturating_sub(blocked.get());
-        scan_us.fetch_add(scanning.as_micros() as u64, Ordering::Relaxed);
         let traces = Shard::open_with(vfs, store_dir.join(traces_name(stem)))
             .map_err(|e| e.into_io())?;
         let tstats = scan_trace_batches(&traces, |b| send(b.rows(), PairMsg::Traces(b)))
             .map_err(|e| e.into_io())?;
+        let scanning = started.elapsed().saturating_sub(blocked.get());
+        scan_us.fetch_add(scanning.as_micros() as u64, Ordering::Relaxed);
         Ok((ustats, tstats))
     };
     let msg = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
@@ -611,7 +612,9 @@ fn load_shards(
                     Ok(PairMsg::Traces(b)) => {
                         order = order.and_then(|()| check_days(range, &mut tlast, &b.day));
                         if order.is_ok() {
+                            let t0 = std::time::Instant::now();
                             builder.push_trace_batch(&b);
+                            metrics.ingest_us += t0.elapsed().as_micros() as u64;
                         }
                         resident.fetch_sub(b.rows() as u64, Ordering::Relaxed);
                     }

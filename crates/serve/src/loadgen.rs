@@ -10,8 +10,8 @@
 //!
 //! The output is a [`LoadReport`]: outcome counts by rejection type,
 //! client-side p50/p99 latency over successful requests, throughput and
-//! shed rate — rendered as a small JSON object for `BENCH_serve_latency`
-//! extraction and CI assertions.
+//! shed rate — rendered as a small JSON object that CI prints and
+//! asserts on.
 
 use std::time::{Duration, Instant};
 

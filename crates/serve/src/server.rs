@@ -48,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ndt_analysis::{run_analysis_stage, stage_spec, StudyData};
-use ndt_runner::{run_isolated, ExecPolicy, RetryPolicy, StageError, StageFault};
+use ndt_runner::{run_isolated, StageError};
 
 use crate::cache::{Cache, Lease, Lookup};
 
@@ -438,12 +438,11 @@ fn execute(inner: &Inner, job: Job) {
     }
 
     let _span = ndt_obs::span("serve.request");
-    let policy = ExecPolicy { deadline: remaining, retry: RetryPolicy::NONE };
     let data = Arc::clone(&inner.data);
     let stage = job.stage;
     let stall = inner.cfg.stall;
     let panic_me = inner.cfg.panic_stages.iter().any(|p| stage.starts_with(p.as_str()));
-    let result = run_isolated(stage, &policy, move |cancel| {
+    let result = run_isolated(stage, remaining, move |cancel| {
         if panic_me {
             panic!("injected panic in serve stage {stage}");
         }
@@ -452,16 +451,15 @@ fn execute(inner: &Inner, job: Job) {
             let until = Instant::now() + stall;
             while Instant::now() < until {
                 if cancel.is_cancelled() {
-                    return Err(StageFault::permanent("cancelled during stall"));
+                    return Err("cancelled during stall".to_string());
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
         if cancel.is_cancelled() {
-            return Err(StageFault::permanent("cancelled before execution"));
+            return Err("cancelled before execution".to_string());
         }
-        let out = run_analysis_stage(stage, &data)
-            .map_err(|e| StageFault::permanent(e.to_string()))?;
+        let out = run_analysis_stage(stage, &data).map_err(|e| e.to_string())?;
         // The response is the report fragment exactly as `report` prints
         // it: section header + body. Byte-stable across runs, so cache
         // hits are byte-identical to recomputation as well.

@@ -14,7 +14,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use ukraine_ndt::analysis::ANALYSIS_STAGES;
+use ukraine_ndt::mlab::SimConfig;
 use ukraine_ndt::obs::zero_wall_times;
+use ukraine_ndt::runner::CORPUS_SHARD_DAYS;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("ndt-metrics-{tag}-{}", std::process::id()));
@@ -58,6 +61,20 @@ fn section(artifact: &str, name: &str) -> String {
     out
 }
 
+/// The `stage.*` spans of an artifact as `(name, count)`, in artifact
+/// (name) order.
+fn stage_spans(artifact: &str) -> Vec<(String, u64)> {
+    section(artifact, "spans")
+        .lines()
+        .filter_map(|l| {
+            let rest = l.trim_start().strip_prefix("{\"name\": \"stage.")?;
+            let (name, rest) = rest.split_once('"')?;
+            let count = rest.strip_prefix(", \"count\": ")?.split(',').next()?;
+            Some((format!("stage.{name}"), count.parse().ok()?))
+        })
+        .collect()
+}
+
 #[test]
 fn artifact_is_byte_identical_across_thread_counts_after_zeroing_durations() {
     let d1 = tmpdir("t1");
@@ -80,6 +97,19 @@ fn artifact_is_byte_identical_across_thread_counts_after_zeroing_durations() {
     );
     // And the raw counter section is identical even before zeroing.
     assert_eq!(section(&one, "counters"), section(&four, "counters"));
+    // An export opens one span per stage it runs, each once: the topology,
+    // every corpus shard and every analysis stage of the registry.
+    let sim = SimConfig { scale: 0.01, seed: 77, ..SimConfig::default() };
+    let shards = sim.shards(CORPUS_SHARD_DAYS).into_iter();
+    let mut want: Vec<(String, u64)> = std::iter::once("topology".to_string())
+        .chain(shards.map(|r| format!("corpus:{:03}-{:03}", r.start, r.end)))
+        .chain(ANALYSIS_STAGES.iter().map(|s| s.name.to_string()))
+        .map(|name| (format!("stage.{name}"), 1))
+        .collect();
+    want.sort();
+    for artifact in [&one, &four] {
+        assert_eq!(stage_spans(artifact), want, "the stage spans of an export");
+    }
 
     let _ = fs::remove_dir_all(&d1);
     let _ = fs::remove_dir_all(&d4);
