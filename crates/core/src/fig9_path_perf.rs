@@ -9,10 +9,11 @@
 use crate::coverage::Coverage;
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
+use crate::hash::{FastMap, FastSet};
 use crate::render::csv;
 use ndt_conflict::Period;
 use ndt_stats::{pearson, welch_t_test, WelchTTest};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Per-connection measurements across the two 2022 periods.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,13 +54,13 @@ pub struct PathPerformance {
 #[derive(Default)]
 struct ConnAgg {
     tests: usize,
-    paths: HashSet<u64>,
+    paths: FastSet<u64>,
     tput_sum: f64,
     loss_sum: f64,
 }
 
-fn aggregate(data: &StudyData, period: Period) -> HashMap<(u32, u32), ConnAgg> {
-    let mut map: HashMap<(u32, u32), ConnAgg> = HashMap::new();
+fn aggregate(data: &StudyData, period: Period) -> FastMap<(u32, u32), ConnAgg> {
+    let mut map: FastMap<(u32, u32), ConnAgg> = FastMap::default();
     let t = &data.traces;
     for i in data.traces_in(period) {
         let e = map.entry((t.client_ip[i], t.server_ip[i])).or_default();

@@ -68,6 +68,7 @@ pub mod fig5_border;
 pub mod fig6_as199995;
 pub mod fig7_8_distributions;
 pub mod fig9_path_perf;
+mod hash;
 pub mod paper;
 pub mod render;
 pub mod report;

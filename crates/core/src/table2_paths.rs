@@ -10,9 +10,9 @@
 use crate::coverage::Coverage;
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
+use crate::hash::{FastMap, FastSet};
 use crate::render::text_table;
 use ndt_conflict::Period;
-use std::collections::{HashMap, HashSet};
 
 /// One period's row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +43,7 @@ pub fn compute(data: &StudyData, top_n: usize) -> Result<PathDiversity, Analysis
         .iter()
         .map(|&period| {
             // connection → (test count, distinct fingerprints)
-            let mut conns: HashMap<(u32, u32), (usize, HashSet<u64>)> = HashMap::new();
+            let mut conns: FastMap<(u32, u32), (usize, FastSet<u64>)> = FastMap::default();
             let (t, rows) = (&data.traces, data.traces_in(period));
             cov.see(rows.len());
             for i in rows {

@@ -11,11 +11,11 @@
 use crate::coverage::Coverage;
 use crate::dataset::StudyData;
 use crate::error::AnalysisError;
+use crate::hash::FastMap;
 use crate::render::{pct, text_table, times};
 use ndt_conflict::Period;
 use ndt_stats::{welch_t_test, WelchTTest};
 use ndt_topology::Asn;
-use std::collections::HashMap;
 
 /// One AS's row.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +102,7 @@ fn samples_through(data: &StudyData, period: Period, top: &[Asn]) -> (Vec<Sample
 fn top_ases(data: &StudyData, n: usize) -> Vec<Asn> {
     use ndt_topology::build::SYNTHETIC_ASN_BASE;
     // Access network = the last AS of a path.
-    let mut eyeballs: HashMap<Asn, usize> = HashMap::new();
+    let mut eyeballs: FastMap<Asn, usize> = FastMap::default();
     let t = &data.traces;
     for i in data.traces_in(Period::Prewar2022).chain(data.traces_in(Period::Wartime2022)) {
         if let Some(last) = t.as_path(i).last() {

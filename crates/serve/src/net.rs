@@ -21,14 +21,17 @@
 //! connection closes, so a peer cannot make a connection thread buffer
 //! without bound.
 //!
-//! [`serve_tcp`] accepts with a non-blocking poll so a shutdown flag flip
-//! stops admission promptly; each connection is handled on its own
-//! thread, and every connection thread is joined before [`serve_tcp`]
-//! returns — in-flight responses are delivered through a drain, never
-//! truncated.
+//! [`serve_tcp`] blocks in `accept`, so a connection is taken the moment
+//! it arrives. A scoped watcher thread polls the shutdown flag; once it
+//! flips, the watcher connects to the listener's own address (loopback
+//! for `0.0.0.0` or `[::]`) until the accept loop has seen the flag and
+//! exited, so a flip stops admission promptly without a sleep on the
+//! request path. Each connection is handled on its own thread, and every
+//! connection thread is joined before [`serve_tcp`] returns — in-flight
+//! responses are delivered through a drain, never truncated.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,8 +43,10 @@ use crate::server::{ServeError, ServerHandle};
 /// stalled peer, not request latency (the server's deadline does that).
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Accept-poll interval while the listener is idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How often the shutdown watcher reads the flag, and how long each of
+/// its wake-up connects may take. It bounds how long a flip takes to stop
+/// admission; no request waits on it.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(5);
 
 /// Longest request line the server reads, newline included. The longest
 /// valid line, `GET ext_correlation deadline_ms=<u64::MAX>`, is under 64
@@ -168,41 +173,81 @@ fn handle_conn(stream: TcpStream, handle: &ServerHandle) -> io::Result<()> {
 
 /// Serves requests from `listener` until `shutdown` flips true, then
 /// joins every in-flight connection thread (their responses are
-/// delivered) and returns. Pair with [`crate::Server::drain`]: flip the
-/// flag, drain the server, join the `serve_tcp` thread.
+/// delivered) and returns. An accept error ends the loop the same way and
+/// is returned. Pair with [`crate::Server::drain`]: flip the flag, drain
+/// the server, join the `serve_tcp` thread.
 pub fn serve_tcp(
     listener: TcpListener,
     handle: ServerHandle,
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    let wake = wake_addr(listener.local_addr()?);
+    let exited = AtomicBool::new(false);
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                let handle = handle.clone();
-                let t = std::thread::Builder::new()
-                    .name("serve-conn".to_string())
-                    .spawn(move || {
-                        // Socket errors fail one connection, never the
-                        // accept loop.
-                        let _ = handle_conn(stream, &handle);
-                    })?;
-                conns.push(t);
-                conns.retain(|c| !c.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                conns.retain(|c| !c.is_finished());
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let res = std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .name("serve-wake".to_string())
+            .spawn_scoped(s, || wake_on_shutdown(&shutdown, &exited, wake))?;
+        let res = accept_until_shutdown(&listener, &handle, &shutdown, &mut conns);
+        exited.store(true, Ordering::SeqCst);
+        res
+    });
     for c in conns {
         let _ = c.join();
     }
-    Ok(())
+    res
+}
+
+/// Accepts and hands each connection to its own thread until a connection
+/// arrives after `shutdown` flipped, which it drops: the watcher's wake-up,
+/// or a client that lost the race with shutdown.
+fn accept_until_shutdown(
+    listener: &TcpListener,
+    handle: &ServerHandle,
+    shutdown: &AtomicBool,
+    conns: &mut Vec<JoinHandle<()>>,
+) -> io::Result<()> {
+    loop {
+        let (stream, _peer) = listener.accept()?;
+        if shutdown.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        let handle = handle.clone();
+        let t = std::thread::Builder::new()
+            .name("serve-conn".to_string())
+            .spawn(move || {
+                // Socket errors fail one connection, never the
+                // accept loop.
+                let _ = handle_conn(stream, &handle);
+            })?;
+        conns.push(t);
+        conns.retain(|c| !c.is_finished());
+    }
+}
+
+/// Waits for `shutdown`, then connects to `wake` every [`SHUTDOWN_POLL`]
+/// until the accept loop has `exited`: the connection wakes a blocked
+/// `accept`, which then reads the flag. If the loop exits first, on an
+/// accept error, the watcher stops within one poll.
+fn wake_on_shutdown(shutdown: &AtomicBool, exited: &AtomicBool, wake: SocketAddr) {
+    while !exited.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&wake, SHUTDOWN_POLL);
+        }
+        std::thread::sleep(SHUTDOWN_POLL);
+    }
+}
+
+/// The address that reaches a listener bound to `local`: itself, with an
+/// unspecified IP replaced by the loopback address of its family.
+fn wake_addr(mut local: SocketAddr) -> SocketAddr {
+    match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => local.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => local.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    local
 }
 
 /// Client side: one request over a fresh connection. Transport failures

@@ -10,10 +10,13 @@
 //! behaviours through the real binary, TCP front and exit codes.
 
 use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use ukraine_ndt::prelude::*;
 use ukraine_ndt::runner::run_store_generate;
@@ -46,6 +49,41 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// on exactly what it probes.
 fn base_cfg() -> ServeConfig {
     ServeConfig { cache: false, ..ServeConfig::default() }
+}
+
+/// `serve_tcp` in front of a server, on a thread of its own.
+struct TcpFront {
+    /// Loopback `host:port` of the listener.
+    addr: String,
+    shutdown: Arc<AtomicBool>,
+    returned: mpsc::Receiver<std::io::Result<()>>,
+    net: JoinHandle<()>,
+}
+
+impl TcpFront {
+    /// Binds `bind` (an IPv4 address, port 0) and serves `server` on it.
+    fn start(server: &Server, bind: &str) -> TcpFront {
+        let listener = TcpListener::bind(bind).expect("bind");
+        let port = listener.local_addr().expect("addr").port();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (tx, returned) = mpsc::channel();
+        let (handle, flag) = (server.handle(), Arc::clone(&shutdown));
+        let net = std::thread::spawn(move || {
+            let _ = tx.send(serve_tcp(listener, handle, flag));
+        });
+        TcpFront { addr: format!("127.0.0.1:{port}"), shutdown, returned, net }
+    }
+
+    /// Flips the shutdown flag; `serve_tcp` must return `Ok` within
+    /// `limit`.
+    fn stop_within(self, limit: Duration) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.returned
+            .recv_timeout(limit)
+            .unwrap_or_else(|_| panic!("serve_tcp still running {limit:?} after the flip"))
+            .expect("clean accept-loop exit");
+        self.net.join().expect("net thread");
+    }
 }
 
 #[test]
@@ -246,14 +284,8 @@ fn drain_delivers_every_admitted_request_then_rejects_new_ones() {
 fn tcp_front_round_trips_requests_and_typed_errors() {
     let cfg = ServeConfig { panic_stages: vec!["table1".to_string()], ..base_cfg() };
     let server = Server::start(corpus(), 1, cfg);
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let net = {
-        let handle = server.handle();
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || serve_tcp(listener, handle, shutdown))
-    };
+    let front = TcpFront::start(&server, "127.0.0.1:0");
+    let addr = front.addr.clone();
 
     let reply = fetch(&addr, &Request::new("fig2"), Duration::from_secs(30)).expect("fetch");
     match reply {
@@ -268,8 +300,7 @@ fn tcp_front_round_trips_requests_and_typed_errors() {
         "panic crosses the wire typed: {reply:?}"
     );
 
-    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-    net.join().expect("net thread").expect("clean accept-loop exit");
+    front.stop_within(Duration::from_secs(30));
     let stats = server.drain();
     assert_eq!(stats.executed, 1, "{stats:?}");
     assert_eq!(stats.panics, 1, "{stats:?}");
@@ -278,14 +309,8 @@ fn tcp_front_round_trips_requests_and_typed_errors() {
 #[test]
 fn an_oversized_request_line_gets_a_typed_error_not_a_hang() {
     let server = Server::start(corpus(), 1, base_cfg());
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let net = {
-        let handle = server.handle();
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || serve_tcp(listener, handle, shutdown))
-    };
+    let front = TcpFront::start(&server, "127.0.0.1:0");
+    let addr = front.addr.clone();
 
     // A line a little over the cap, no newline, and the socket kept open:
     // only the cap can end the server's read.
@@ -301,8 +326,78 @@ fn an_oversized_request_line_gets_a_typed_error_not_a_hang() {
     assert!(matches!(reply, Reply::Ok(_)), "{reply:?}");
 
     drop(stream);
-    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-    net.join().expect("net thread").expect("clean accept-loop exit");
+    front.stop_within(Duration::from_secs(30));
+    server.drain();
+}
+
+/// `GET nope` is rejected as `unknown-stage` before the queue, so a
+/// round trip of it is transport alone: connect, accept, one line each
+/// way. No accept-side wait may sit on that path.
+#[test]
+fn back_to_back_fetches_pay_no_accept_wait() {
+    let server = Server::start(corpus(), 1, base_cfg());
+    let front = TcpFront::start(&server, "127.0.0.1:0");
+    let mut walls: Vec<Duration> = (0..40)
+        .map(|_| {
+            let t = Instant::now();
+            let reply =
+                fetch(&front.addr, &Request::new("nope"), Duration::from_secs(30)).expect("fetch");
+            assert_eq!(reply, Reply::Err(ServeError::UnknownStage("nope".to_string())));
+            t.elapsed()
+        })
+        .collect();
+    walls.sort();
+    let median = walls[walls.len() / 2];
+    assert!(median < Duration::from_millis(2), "median round trip {median:?}: {walls:?}");
+    front.stop_within(Duration::from_secs(30));
+    server.drain();
+}
+
+/// A flip with no client connecting stops `serve_tcp` promptly, on a
+/// loopback listener and on a wildcard one.
+#[test]
+fn serve_tcp_returns_promptly_after_the_flip_with_no_client() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::start(corpus(), 1, base_cfg());
+        let front = TcpFront::start(&server, bind);
+        // One round trip first, so the flip finds the loop running.
+        let reply =
+            fetch(&front.addr, &Request::new("nope"), Duration::from_secs(30)).expect("fetch");
+        assert!(matches!(reply, Reply::Err(ServeError::UnknownStage(_))), "{bind}: {reply:?}");
+        front.stop_within(Duration::from_secs(1));
+        server.drain();
+    }
+}
+
+/// A request still executing at the flip is answered in full before
+/// `serve_tcp` returns.
+#[test]
+fn a_request_in_flight_at_the_flip_is_delivered_before_serve_tcp_returns() {
+    let cfg = ServeConfig { workers: 1, stall: Some(Duration::from_millis(200)), ..base_cfg() };
+    let server = Server::start(corpus(), 1, cfg);
+    let handle = server.handle();
+    let front = TcpFront::start(&server, "127.0.0.1:0");
+    let client = {
+        let addr = front.addr.clone();
+        std::thread::spawn(move || fetch(&addr, &Request::new("fig2"), Duration::from_secs(30)))
+    };
+    // Flip once the request is admitted: the stall keeps it executing.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.stats().accepted < 1 {
+        assert!(Instant::now() < deadline, "request never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    front.stop_within(Duration::from_secs(30));
+    assert_eq!(
+        handle.stats().executed,
+        1,
+        "serve_tcp returned before its in-flight request finished"
+    );
+    // `fetch` reads exactly the length the `OK` line announces.
+    match client.join().expect("client thread").expect("fetch") {
+        Reply::Ok(body) => assert!(body.starts_with("== Figure 2"), "{body}"),
+        other => panic!("expected OK, got {other:?}"),
+    }
     server.drain();
 }
 
